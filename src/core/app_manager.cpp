@@ -206,12 +206,8 @@ void AppManager::run() {
     ExecConfig exec_cfg;
     exec_cfg.supervision = config_.supervision;
     exec_cfg.submit_batch = std::max(exec_cfg.submit_batch, batch);
-    if (batch > 1) {
-      // Coalesce completions on a short window so Dequeue drains bulk Done
-      // messages instead of one per unit.
-      exec_cfg.completion_flush_window_s = 0.002;
-      exec_cfg.completion_flush_max = batch;
-    }
+    // Dequeue drains bulk Done messages instead of one per unit.
+    exec_cfg.coalesce_completions = batch > 1;
     exec_manager_ = std::make_unique<ExecManager>(
         exec_cfg, broker_, &registry_, "q.pending", "q.completed",
         "q.states", config_.rts_factory, profiler_);

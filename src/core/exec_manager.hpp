@@ -20,8 +20,8 @@ namespace entk {
 /// runtime's (defaults preserve seed behaviour).
 using ExecConfig = worker::WorkerRuntimeConfig;
 
-/// A supervised Component with "emgr", "heartbeat" and (with a flush
-/// window configured) "flush" workers. The RTS handle lives outside the
+/// A supervised Component with "emgr", "heartbeat" and (with completion
+/// coalescing on) "flush" workers. The RTS handle lives outside the
 /// worker lifecycle, so a crashed-and-restarted ExecManager re-attaches to
 /// the same RTS instance and the Pending queue without losing units.
 class ExecManager : public worker::WorkerRuntime {

@@ -153,6 +153,9 @@ void WFProcessor::enqueue_loop() {
         continue;
       }
       if (stage->state() == StageState::Done) {
+        // A live finish_stage is between this stage's DONE commit and the
+        // advance (running its post_exec hook): it advances the pipeline.
+        if (is_finishing(stage->uid())) continue;
         // Crash recovery: a previous generation died inside a post_exec
         // hook after the stage committed DONE but before the pipeline
         // advanced. Pick up where it left off — the hook itself was
@@ -206,7 +209,13 @@ void WFProcessor::schedule_stage(const PipelinePtr& pipeline,
                             << stage->task_count() << " tasks) of "
                             << pipeline->uid();
   profiler_->record("wfprocessor", "stage_schedule_start", stage->uid());
-  sync.sync(stage->uid(), "stage", "DESCRIBED", "SCHEDULING", true);
+  // Unconfirmed: q.states is one FIFO queue drained by one Synchronizer, so
+  // the next confirmed sync on this channel — the tasks' SCHEDULED batch,
+  // or the stage's own SCHEDULED below when every task was recovered or
+  // canceled — is applied after this one. Either way the stage has left
+  // Described before this function returns, so the rescan cannot schedule
+  // it twice.
+  sync.sync(stage->uid(), "stage", "DESCRIBED", "SCHEDULING", false);
   std::size_t recovered = 0;
   std::vector<TaskPtr> chunk;
   for (const TaskPtr& task : stage->tasks()) {
@@ -235,18 +244,17 @@ void WFProcessor::schedule_stage(const PipelinePtr& pipeline,
   if (!chunk.empty()) enqueue_task_batch(chunk, sync);
   sync.sync(stage->uid(), "stage", "SCHEDULING", "SCHEDULED", true);
   profiler_->record("wfprocessor", "stage_schedule_stop", stage->uid());
-  // Completion check even when nothing was recovered: cancellations may
-  // have pre-resolved tasks of this stage in the book.
+  // Completion check even when nothing was recovered: cancellations, and
+  // results that came back before the SCHEDULED commit, may have resolved
+  // every task of this stage in the book already.
   bool stage_complete = false;
   bool stage_failed = false;
   {
     std::lock_guard<std::mutex> lock(book_mutex_);
     StageBook& book = stage_books_[stage->uid()];
     book.resolved += recovered;
-    if (book.resolved >= stage->task_count() && !book.finished) {
-      book.finished = true;
-      stage_complete = true;
-    }
+    book.dispatched = true;
+    stage_complete = book.claim_finish(stage->task_count());
     stage_failed = book.failed > 0;
   }
   if (stage_complete) {
@@ -359,7 +367,7 @@ void WFProcessor::dequeue_loop() {
         continue;
       }
       if (body->contains("results")) {
-        // Coalesced completion message from the RTS callback flush window.
+        // Coalesced completion message from a coalescing RTS callback.
         for (const json::Value& r : body->at("results").as_array()) {
           results.push_back(&r);
         }
@@ -459,10 +467,7 @@ void WFProcessor::resolve_task(const json::Value& result, SyncClient& sync) {
     StageBook& book = stage_books_[stage->uid()];
     ++book.resolved;
     if (failed) ++book.failed;
-    if (book.resolved >= stage->task_count() && !book.finished) {
-      book.finished = true;
-      stage_complete = true;
-    }
+    stage_complete = book.claim_finish(stage->task_count());
     stage_failed = book.failed > 0;
   }
   if (!stage_complete) return;
@@ -544,8 +549,7 @@ void WFProcessor::resolve_results(const std::vector<const json::Value*>& results
       for (const Resolved& r : resolved) {
         StageBook& book = stage_books_[r.stage->uid()];
         ++book.resolved;
-        if (book.resolved >= r.stage->task_count() && !book.finished) {
-          book.finished = true;
+        if (book.claim_finish(r.stage->task_count())) {
           completions.emplace_back(&r, book.failed > 0);
         }
       }
@@ -565,9 +569,29 @@ void WFProcessor::resolve_results(const std::vector<const json::Value*>& results
   }
 }
 
+void WFProcessor::set_finishing(const std::string& stage_uid, bool finishing) {
+  std::lock_guard<std::mutex> lock(book_mutex_);
+  stage_books_[stage_uid].finishing = finishing;
+}
+
+bool WFProcessor::is_finishing(const std::string& stage_uid) {
+  std::lock_guard<std::mutex> lock(book_mutex_);
+  const auto it = stage_books_.find(stage_uid);
+  return it != stage_books_.end() && it->second.finishing;
+}
+
 void WFProcessor::finish_stage(const PipelinePtr& pipeline,
                                const StagePtr& stage, bool stage_failed,
                                SyncClient& sync) {
+  // Set before the DONE commit and cleared on every exit, including a
+  // throwing hook: a rescan that sees the stage DONE while the flag is set
+  // leaves the advance to this call.
+  set_finishing(stage->uid(), true);
+  struct ClearFinishing {
+    WFProcessor* wfp;
+    const std::string& uid;
+    ~ClearFinishing() { wfp->set_finishing(uid, false); }
+  } clear_finishing{this, stage->uid()};
   json::Value stage_ev;
   stage_ev["event"] = "stage";
   stage_ev["uid"] = stage->uid();
@@ -661,19 +685,15 @@ std::size_t WFProcessor::cancel_tasks(const std::vector<std::string>& uids) {
     PipelinePtr pipeline = registry_->pipeline(task->parent_pipeline());
     if (!stage || !pipeline) continue;
     // A canceled task counts as resolved or its stage would never finish.
-    // Completion may only fire once the stage is fully dispatched
-    // (Scheduled); earlier cancellations are picked up by the completion
-    // check at the end of schedule_stage.
+    // Completion may only fire once the stage is fully dispatched;
+    // earlier cancellations are picked up by the completion check at the
+    // end of schedule_stage.
     bool stage_complete = false;
     {
       std::lock_guard<std::mutex> lock(book_mutex_);
       StageBook& book = stage_books_[stage->uid()];
       ++book.resolved;
-      if (stage->state() == StageState::Scheduled &&
-          book.resolved >= stage->task_count() && !book.finished) {
-        book.finished = true;
-        stage_complete = true;
-      }
+      stage_complete = book.claim_finish(stage->task_count());
     }
     if (stage_complete) {
       bool stage_failed = false;

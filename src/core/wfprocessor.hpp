@@ -115,7 +115,21 @@ class WFProcessor : public Component {
   struct StageBook {
     std::size_t resolved = 0;
     std::size_t failed = 0;
+    /// schedule_stage committed SCHEDULED. A stage finishes once it is
+    /// dispatched and fully resolved, on whichever thread sees that last:
+    /// results can come back before the stage's own SCHEDULED commit.
+    bool dispatched = false;
     bool finished = false;  ///< finish_stage dispatched (one-shot guard)
+    /// True exactly once: for the caller that sees the stage dispatched
+    /// and all `task_count` tasks resolved first. Call under book_mutex_.
+    bool claim_finish(std::size_t task_count) {
+      if (finished || !dispatched || resolved < task_count) return false;
+      finished = true;
+      return true;
+    }
+    /// A live finish_stage call owns the stage: the rescan must not take
+    /// its DONE state for a finish a dead generation left behind.
+    bool finishing = false;
   };
 
   void enqueue_loop();
@@ -135,6 +149,8 @@ class WFProcessor : public Component {
                        SyncClient& sync);
   void finish_stage(const PipelinePtr& pipeline, const StagePtr& stage,
                     bool stage_failed, SyncClient& sync);
+  void set_finishing(const std::string& stage_uid, bool finishing);
+  bool is_finishing(const std::string& stage_uid);
   /// Mark an exhausted, un-held pipeline DONE (one caller wins the
   /// begin_completion guard; everyone else is a no-op).
   void complete_pipeline(const PipelinePtr& pipeline, SyncClient& sync);

@@ -128,30 +128,49 @@ void Controller::on_reattach() {
 }
 
 void Controller::rules_loop() {
+  std::vector<mq::Delivery> deliveries;
   while (!stop_requested()) {
     beat();
-    std::vector<mq::Delivery> deliveries = wiring_.broker->get_batch(
-        wiring_.events_queue, 64, config_.poll_timeout_s);
-    for (mq::Delivery& d : deliveries) {
-      if (stop_requested()) break;
-      std::optional<Event> event;
-      try {
-        event = Event::parse(*d.message.payload());
-      } catch (const std::exception&) {
-        event = std::nullopt;  // garbage on the stream: skip, don't fault
-      }
-      if (event) {
-        ENTK_DEBUG(name()) << "event " << to_string(event->kind) << " "
-                           << event->uid << " " << event->outcome;
-        if (events_metric_) events_metric_->add(1);
-        results_.ingest(*event);
-        evaluate(&*event);
-      }
-      wiring_.broker->ack(wiring_.events_queue, d.delivery_tag);
+    deliveries = wiring_.broker->get_batch(wiring_.events_queue, 64,
+                                           config_.poll_timeout_s);
+    std::size_t consumed = 0;
+    while (consumed < deliveries.size() && !stop_requested()) {
+      consume(deliveries[consumed++], /*fire_rules=*/true);
     }
+    deliveries.erase(deliveries.begin(),
+                     deliveries.begin() + static_cast<std::ptrdiff_t>(consumed));
     // Timer tick: triggers that do not need an event advance here.
     evaluate(nullptr);
   }
+  // A clean stop comes after the run resolved: the events it published are
+  // already on the stream, so fold them into results() without firing
+  // rules. A failed component leaves them unacked for its next generation.
+  if (state() != ComponentState::Draining) return;
+  try {
+    do {
+      for (const mq::Delivery& d : deliveries) consume(d, /*fire_rules=*/false);
+      deliveries = wiring_.broker->get_batch(wiring_.events_queue, 64, 0.0);
+    } while (!deliveries.empty());
+  } catch (const MqError&) {
+    // Broker already closed: nothing left to drain.
+  }
+}
+
+void Controller::consume(const mq::Delivery& delivery, bool fire_rules) {
+  std::optional<Event> event;
+  try {
+    event = Event::parse(*delivery.message.payload());
+  } catch (const std::exception&) {
+    event = std::nullopt;  // garbage on the stream: skip, don't fault
+  }
+  if (event) {
+    ENTK_DEBUG(name()) << "event " << to_string(event->kind) << " "
+                       << event->uid << " " << event->outcome;
+    if (events_metric_) events_metric_->add(1);
+    results_.ingest(*event);
+    if (fire_rules) evaluate(&*event);
+  }
+  wiring_.broker->ack(wiring_.events_queue, delivery.delivery_tag);
 }
 
 void Controller::evaluate(const Event* event) {

@@ -101,6 +101,9 @@ class Controller : public Component,
  private:
   void wire(const AdaptiveWiring& wiring);
   void rules_loop();
+  /// Ingest one event into results() (and evaluate the rules on it when
+  /// `fire_rules`), then ack it.
+  void consume(const mq::Delivery& delivery, bool fire_rules);
   /// Evaluate the rule set; `event` is null on a timer tick.
   void evaluate(const Event* event);
   void fire(Rule& rule, const Event* event);

@@ -202,6 +202,12 @@ void BrokerServer::accept_clients() {
       // Refuse cleanly: a best-effort error frame tells the client *why*
       // before the close, instead of letting the fd table grow without
       // bound until accept() itself starts failing with EMFILE.
+      // Counted before the send: a client that reads the refusal must
+      // already see it in rejected_at_capacity().
+      rejected_at_capacity_.fetch_add(1, std::memory_order_relaxed);
+      if (rejected_at_capacity_metric_ != nullptr) {
+        rejected_at_capacity_metric_->add();
+      }
       Frame resp;
       resp.op = Op::kError;
       resp.body = "net: server at connection capacity (" +
@@ -209,10 +215,6 @@ void BrokerServer::accept_clients() {
       const std::string encoded = encode_frame(resp);
       (void)::send(fd, encoded.data(), encoded.size(), MSG_NOSIGNAL);
       close_fd(fd);
-      rejected_at_capacity_.fetch_add(1, std::memory_order_relaxed);
-      if (rejected_at_capacity_metric_ != nullptr) {
-        rejected_at_capacity_metric_->add();
-      }
       ENTK_WARN("broker_server")
           << "refused connection: at capacity (" << config_.max_connections
           << ")";

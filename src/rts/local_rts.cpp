@@ -33,7 +33,13 @@ void LocalRts::on_start() {
   }
 }
 
-void LocalRts::on_stop_requested() { cv_.notify_all(); }
+void LocalRts::on_stop_requested() {
+  // Workers wait without a timeout: passing through their mutex orders this
+  // wake-up after any predicate check one is in the middle of, so the
+  // notify cannot be lost and stop() cannot hang.
+  { std::lock_guard<std::mutex> lock(mutex_); }
+  cv_.notify_all();
+}
 
 void LocalRts::set_completion_callback(
     std::function<void(const UnitResult&)> callback) {

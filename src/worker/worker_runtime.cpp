@@ -1,6 +1,7 @@
 #include "src/worker/worker_runtime.hpp"
 
-#include <chrono>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.hpp"
@@ -8,6 +9,13 @@
 #include "src/common/log.hpp"
 
 namespace entk::worker {
+
+namespace {
+/// The runtime whose emgr is inside Rts::submit() on this thread (coalescing
+/// only): completions the RTS makes there join that submission's Done
+/// message instead of the flusher's buffer.
+thread_local const WorkerRuntime* t_submitting = nullptr;
+}  // namespace
 
 WorkerRuntime::WorkerRuntime(std::string component_name,
                              WorkerRuntimeConfig config,
@@ -61,8 +69,8 @@ void WorkerRuntime::acquire_resources() {
 
 void WorkerRuntime::attach_callback() {
   // RTS Callback subcomponent: forward completions to the Done queue
-  // (paper Fig 2, message 4). With a flush window configured, results are
-  // coalesced into bulk Done messages instead of one publish per unit.
+  // (paper Fig 2, message 4). With coalescing on, results leave as bulk
+  // Done messages instead of one publish per unit.
   std::lock_guard<std::mutex> lock(rts_mutex_);
   rts_->set_completion_callback([this](const rts::UnitResult& result) {
     json::Value msg;
@@ -76,23 +84,24 @@ void WorkerRuntime::attach_callback() {
     if (!config_.worker_id.empty()) msg["worker"] = config_.worker_id;
     if (!result.metadata.is_null()) msg["metadata"] = result.metadata;
     bool coalesced = false;
-    if (config_.completion_flush_window_s > 0) {
-      std::vector<json::Value> overflow;
+    if (t_submitting == this) {
+      // Completed inside the emgr's submit(): the emgr publishes the whole
+      // submission as one Done message once submit() returns.
+      inline_results_.push_back(std::move(msg));
+      coalesced = true;
+    } else if (coalescing()) {
+      bool wake = false;
       {
         std::lock_guard<std::mutex> flush_lock(flush_mutex_);
         if (flusher_running_) {
+          // Only the first result wakes the flusher; later ones ride along
+          // in whatever it swaps out next.
+          wake = completion_buffer_.empty();
           completion_buffer_.push_back(std::move(msg));
           coalesced = true;
-          if (completion_buffer_.size() >= config_.completion_flush_max) {
-            overflow.swap(completion_buffer_);
-          }
         }
       }
-      if (!overflow.empty()) {
-        flush_completions(std::move(overflow));  // full buffer: flush inline
-      } else if (coalesced) {
-        flush_cv_.notify_one();
-      }
+      if (wake) flush_cv_.notify_one();
     }
     if (!coalesced) {
       try {
@@ -103,8 +112,9 @@ void WorkerRuntime::attach_callback() {
       }
     }
     // Release the delivery claim only after the result reached the Done
-    // queue (or its buffer): a crash before this point leaves the delivery
-    // unacked and the broker requeues it for a surviving worker.
+    // queue (ack_on_completion never buffers): a crash before this point
+    // leaves the delivery unacked and the broker requeues it for a
+    // surviving worker.
     if (config_.ack_on_completion) ledger_complete(result.uid);
     tasks_done_.fetch_add(1);
     profiler_->record("rts_callback", "unit_completed", result.uid);
@@ -128,16 +138,31 @@ void WorkerRuntime::flush_completions(std::vector<json::Value> buffered) {
   }
 }
 
+void WorkerRuntime::submit_to_rts(std::vector<rts::TaskUnit> batch) {
+  // Runs on exit too, so a throwing submit() cannot strand results that
+  // were already completed inline.
+  struct InlineScope {
+    WorkerRuntime* rt;  ///< null: not coalescing
+    explicit InlineScope(WorkerRuntime* r) : rt(r) { t_submitting = rt; }
+    ~InlineScope() {
+      if (rt == nullptr) return;
+      t_submitting = nullptr;
+      rt->flush_completions(std::exchange(rt->inline_results_, {}));
+    }
+  } scope(coalescing() ? this : nullptr);
+  std::lock_guard<std::mutex> lock(rts_mutex_);
+  if (!rts_ || !rts_->is_healthy()) {
+    throw RtsError("emgr: no healthy RTS");
+  }
+  rts_->submit(std::move(batch));
+}
+
 void WorkerRuntime::flush_loop() {
   std::unique_lock<std::mutex> lock(flush_mutex_);
   while (!stop_requested()) {
-    flush_cv_.wait_for(
-        lock, std::chrono::duration<double>(config_.completion_flush_window_s),
-        [this] {
-          return stop_requested() ||
-                 completion_buffer_.size() >= config_.completion_flush_max;
-        });
-    if (completion_buffer_.empty()) continue;
+    flush_cv_.wait(lock, [this] {
+      return stop_requested() || !completion_buffer_.empty();
+    });
     std::vector<json::Value> buffered;
     buffered.swap(completion_buffer_);
     lock.unlock();
@@ -155,7 +180,7 @@ void WorkerRuntime::flush_loop() {
 
 void WorkerRuntime::on_start() {
   resolve_metrics();
-  if (config_.completion_flush_window_s > 0) {
+  if (coalescing()) {
     {
       std::lock_guard<std::mutex> lock(flush_mutex_);
       flusher_running_ = true;
@@ -167,7 +192,12 @@ void WorkerRuntime::on_start() {
   profiler_->record(name(), "emgr_start");
 }
 
-void WorkerRuntime::on_stop_requested() { flush_cv_.notify_all(); }
+void WorkerRuntime::on_stop_requested() {
+  // The flusher waits without a timeout: passing through its mutex orders
+  // this wake-up after any predicate check it is in the middle of.
+  { std::lock_guard<std::mutex> lock(flush_mutex_); }
+  flush_cv_.notify_all();
+}
 
 void WorkerRuntime::on_reattach() {
   // Pending-queue deliveries (and sync acks) the dead emgr worker held
@@ -340,6 +370,7 @@ void WorkerRuntime::emgr_loop() {
     std::vector<rts::TaskUnit> batch;
     std::vector<std::string> uids;
     std::vector<std::uint64_t> tags;
+    std::vector<std::size_t> message_ends;  ///< batch.size() after each message
     tags.reserve(deliveries.size());
     auto take = [&](const std::string& uid) {
       std::optional<rts::TaskUnit> unit = resolver_ ? resolver_(uid)
@@ -380,6 +411,7 @@ void WorkerRuntime::emgr_loop() {
                      {uids.begin() + static_cast<std::ptrdiff_t>(first),
                       uids.end()});
       }
+      if (uids.size() > first) message_ends.push_back(batch.size());
     }
     if (!config_.ack_on_completion) {
       broker_->ack_batch(pending_queue_, tags);
@@ -416,11 +448,21 @@ void WorkerRuntime::emgr_loop() {
     }
     const std::int64_t t0 = submit_us_metric_ != nullptr ? wall_now_us() : 0;
     try {
-      std::lock_guard<std::mutex> lock(rts_mutex_);
-      if (!rts_ || !rts_->is_healthy()) {
-        throw RtsError("emgr: no healthy RTS");
+      if (coalescing()) {
+        // One RTS submission per Pending message: the units a message
+        // carried leave as one Done message as soon as they complete, and
+        // Dequeue resolves them while the RTS runs the next message's.
+        std::size_t begin = 0;
+        for (const std::size_t end : message_ends) {
+          const auto from = batch.begin() + static_cast<std::ptrdiff_t>(begin);
+          const auto to = batch.begin() + static_cast<std::ptrdiff_t>(end);
+          submit_to_rts({std::make_move_iterator(from),
+                         std::make_move_iterator(to)});
+          begin = end;
+        }
+      } else {
+        submit_to_rts(std::move(batch));
       }
-      rts_->submit(std::move(batch));
     } catch (const RtsError& e) {
       if (config_.ack_on_completion) {
         // The RTS never owned these units: push the deliveries back so a

@@ -52,13 +52,16 @@ struct WorkerRuntimeConfig {
   double poll_timeout_s = 0.002;
   std::size_t submit_batch = 64;     ///< max units per RTS submission
 
-  /// Completion coalescing: when > 0, the RTS callback buffers results and
-  /// a flusher publishes them as one bulk Done message ({"results": [...]})
-  /// when the buffer reaches `completion_flush_max` or after this many wall
-  /// seconds, whichever comes first. 0 = one Done message per unit (seed
-  /// behavior).
-  double completion_flush_window_s = 0.0;
-  std::size_t completion_flush_max = 256;
+  /// Completion coalescing: publish results as bulk Done messages
+  /// ({"results": [...]}) instead of one message per unit. There is no
+  /// timer. The emgr submits each Pending message's units on their own,
+  /// and the ones the RTS completes inside that submit() leave as one
+  /// message as soon as it returns; completions from RTS threads wake a
+  /// flusher that publishes whatever accumulated while it was busy, so
+  /// batches grow with load and an idle system adds no delay. Ignored
+  /// with ack_on_completion, which publishes each result before releasing
+  /// its delivery. false = one Done message per unit (seed behavior).
+  bool coalesce_completions = false;
 
   /// Sample ready/unacked depth of every broker queue from the heartbeat
   /// thread into the profiler ("queue_ready_depth"/"queue_unacked_depth"
@@ -91,8 +94,8 @@ struct WorkerRuntimeConfig {
   std::string worker_id;
 };
 
-/// A supervised Component with "emgr", "heartbeat" and (with a flush
-/// window configured) "flush" workers. The RTS handle lives outside the
+/// A supervised Component with "emgr", "heartbeat" and (with completion
+/// coalescing on) "flush" workers. The RTS handle lives outside the
 /// worker lifecycle, so a crashed-and-restarted runtime re-attaches to
 /// the same RTS instance and the Pending queue without losing units.
 class WorkerRuntime : public Component {
@@ -151,6 +154,13 @@ class WorkerRuntime : public Component {
   /// Cache "rts.*" / "worker.*" metric handles once a registry is attached
   /// (idempotent).
   void resolve_metrics();
+  /// coalesce_completions in effect (never with ack_on_completion).
+  bool coalescing() const {
+    return config_.coalesce_completions && !config_.ack_on_completion;
+  }
+  /// Submit a batch to the live RTS; with coalescing, the units it
+  /// completes inline leave as one Done message when it returns.
+  void submit_to_rts(std::vector<rts::TaskUnit> batch);
   void flush_loop();
   /// Publish buffered completion results as one bulk Done message.
   void flush_completions(std::vector<json::Value> buffered);
@@ -199,9 +209,13 @@ class WorkerRuntime : public Component {
   obs::Counter* worker_done_metric_ = nullptr;  ///< worker.<id>.tasks_done
   obs::Gauge* worker_flight_metric_ = nullptr;  ///< worker.<id>.in_flight
 
-  // Completion coalescing (used only when completion_flush_window_s > 0).
+  // Completion coalescing (used only when coalescing()).
+  /// Results the RTS completed inside the emgr's submit(); touched only by
+  /// the emgr thread.
+  std::vector<json::Value> inline_results_;
   std::mutex flush_mutex_;
   std::condition_variable flush_cv_;
+  /// Results from RTS threads, waiting for the flusher.
   std::vector<json::Value> completion_buffer_;
   bool flusher_running_ = false;
 };

@@ -54,7 +54,13 @@ class PumpComponent : public Component {
     if (throw_on_start.load()) throw std::runtime_error("broken on_start");
     add_worker("pump", [this] { pump(); });
   }
-  void on_stop_requested() override { cv_.notify_all(); }
+  void on_stop_requested() override {
+    // pump() waits without a timeout: passing through its mutex orders this
+    // wake-up after any predicate check it is in the middle of, so the
+    // notify cannot be lost.
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    cv_.notify_all();
+  }
   void on_stopped() override { clean_stops_.fetch_add(1); }
   void on_reattach() override { reattaches_.fetch_add(1); }
 

@@ -3,6 +3,7 @@
 // counting factory — without a WFProcessor in the loop.
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -33,13 +34,15 @@ class ExecFixture : public ::testing::Test {
     broker_->close();
   }
 
-  void start_exec(ExecConfig cfg = {}) {
+  void start_exec(ExecConfig cfg = {}, rts::RtsFactory factory = nullptr) {
     cfg.supervision.heartbeat_interval_s = 0.005;
-    rts::RtsFactory factory = [this]() -> rts::RtsPtr {
-      ++rts_instances_;
-      return std::make_shared<rts::LocalRts>(rts::LocalRtsConfig{.workers = 2},
-                                             clock_, profiler_);
-    };
+    if (!factory) {
+      factory = [this]() -> rts::RtsPtr {
+        ++rts_instances_;
+        return std::make_shared<rts::LocalRts>(
+            rts::LocalRtsConfig{.workers = 2}, clock_, profiler_);
+      };
+    }
     emgr_ = std::make_unique<ExecManager>(cfg, broker_, &registry_,
                                           "q.pending", "q.completed",
                                           "q.states", factory, profiler_);
@@ -184,44 +187,193 @@ TEST_F(ExecFixture, BulkPendingMessageSubmitsAllTasks) {
   }
 }
 
-TEST_F(ExecFixture, CompletionCoalescingPublishesResultsArrays) {
-  ExecConfig cfg;
-  cfg.completion_flush_window_s = 0.005;
-  cfg.completion_flush_max = 8;
-  start_exec(cfg);
-  std::vector<TaskPtr> tasks;
+/// Publish `tasks` as one bulk {"uids": [...]} pending message.
+void publish_bulk(mq::Broker& broker, const std::vector<TaskPtr>& tasks) {
   json::Array uids;
-  for (int i = 0; i < 6; ++i) {
-    tasks.push_back(make_task(0.1));
-    uids.push_back(tasks.back()->uid());
-  }
+  for (const TaskPtr& t : tasks) uids.push_back(t->uid());
   json::Value msg;
   msg["uids"] = std::move(uids);
-  broker_->publish("q.pending", mq::Message::json_body("q.pending", msg));
-  // Drain q.completed raw: with the flush window on, completions arrive
-  // coalesced as {"results": [...]} instead of one message per task.
-  std::set<std::string> seen;
-  bool saw_coalesced = false;
+  broker.publish("q.pending", mq::Message::json_body("q.pending", msg));
+}
+
+TEST_F(ExecFixture, CompletionCoalescingPublishesResultsArrays) {
+  ExecConfig cfg;
+  cfg.coalesce_completions = true;
+  start_exec(cfg);
+  std::vector<TaskPtr> tasks;
+  for (int i = 0; i < 6; ++i) tasks.push_back(make_task(0.1));
+  publish_bulk(*broker_, tasks);
+  // Drain q.completed raw: LocalRts completes on its own threads, and the
+  // flusher publishes whatever accumulated as {"results": [...]}; how the
+  // six split into messages depends on timing, the format does not.
+  std::multiset<std::string> seen;
   const double deadline = wall_now_s() + 5.0;
   while (seen.size() < 6 && wall_now_s() < deadline) {
     auto d = broker_->get("q.completed", 0.01);
     if (!d) continue;
     broker_->ack("q.completed", d->delivery_tag);
     const json::Value body = d->message.body_json();
-    if (body.contains("results")) {
-      const json::Array& batch = body.at("results").as_array();
-      if (batch.size() > 1) saw_coalesced = true;
-      for (const json::Value& r : batch) {
-        seen.insert(r.get_string("uid", ""));
-        EXPECT_EQ(r.get_string("outcome", ""), "DONE");
-      }
-    } else {
-      seen.insert(body.get_string("uid", ""));
+    ASSERT_TRUE(body.contains("results"));
+    for (const json::Value& r : body.at("results").as_array()) {
+      seen.insert(r.get_string("uid", ""));
+      EXPECT_EQ(r.get_string("outcome", ""), "DONE");
     }
   }
   EXPECT_EQ(seen.size(), 6u);
-  EXPECT_TRUE(saw_coalesced);
   for (const TaskPtr& t : tasks) EXPECT_EQ(seen.count(t->uid()), 1u);
+}
+
+/// Completes every unit inside submit(), on the caller's (emgr) thread.
+class InlineRts final : public rts::Rts {
+ public:
+  void initialize() override {}
+  void set_completion_callback(
+      std::function<void(const rts::UnitResult&)> callback) override {
+    callback_ = std::move(callback);
+  }
+  void submit(std::vector<rts::TaskUnit> units) override {
+    ++submits;
+    for (const rts::TaskUnit& unit : units) {
+      rts::UnitResult result;
+      result.uid = unit.uid;
+      result.outcome = rts::UnitOutcome::Done;
+      callback_(result);
+    }
+  }
+  bool is_healthy() const override { return true; }
+  void terminate() override {}
+  void kill() override {}
+  rts::RtsStats stats() const override { return {}; }
+  std::vector<std::string> in_flight_units() const override { return {}; }
+
+  std::atomic<int> submits{0};
+
+ private:
+  std::function<void(const rts::UnitResult&)> callback_;
+};
+
+TEST_F(ExecFixture, InlineCompletionsOfOnePendingMessageLeaveAsOneMessage) {
+  // Two bulk Pending messages, both queued before the emgr's first drain:
+  // each is submitted on its own and comes back as exactly one Done
+  // message carrying all of its results.
+  std::vector<TaskPtr> first, second;
+  for (int i = 0; i < 10; ++i) first.push_back(make_task(0.1));
+  for (int i = 0; i < 3; ++i) second.push_back(make_task(0.1));
+  publish_bulk(*broker_, first);
+  publish_bulk(*broker_, second);
+  ExecConfig cfg;
+  cfg.coalesce_completions = true;
+  auto rts = std::make_shared<InlineRts>();
+  start_exec(cfg, [rts] { return rts; });
+
+  const auto messages = collect(2);
+  ASSERT_EQ(messages.size(), 2u);
+  for (std::size_t m = 0; m < 2; ++m) {
+    const std::vector<TaskPtr>& tasks = m == 0 ? first : second;
+    ASSERT_TRUE(messages[m].contains("results"));
+    const json::Array& results = messages[m].at("results").as_array();
+    ASSERT_EQ(results.size(), tasks.size());
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      EXPECT_EQ(results[i].get_string("uid", ""), tasks[i]->uid());
+    }
+  }
+  EXPECT_EQ(rts->submits.load(), 2);
+  EXPECT_TRUE(collect(1, 0.05).empty());  // nothing else follows
+}
+
+/// Holds submitted units until the test completes them from its own
+/// thread, the way an RTS thread would.
+class GatedRts final : public rts::Rts {
+ public:
+  void initialize() override {}
+  void set_completion_callback(
+      std::function<void(const rts::UnitResult&)> callback) override {
+    callback_ = std::move(callback);
+  }
+  void submit(std::vector<rts::TaskUnit> units) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (rts::TaskUnit& unit : units) held_.push_back(std::move(unit.uid));
+  }
+  std::size_t held() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return held_.size();
+  }
+  /// Complete the oldest held unit; `before`/`after` run around the
+  /// completion callback.
+  void complete_one(const std::function<void()>& before,
+                    const std::function<void()>& after) {
+    rts::UnitResult result;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      result.uid = held_.front();
+      held_.erase(held_.begin());
+    }
+    result.outcome = rts::UnitOutcome::Done;
+    before();
+    callback_(result);
+    after();
+  }
+  bool is_healthy() const override { return true; }
+  void terminate() override {}
+  void kill() override {}
+  rts::RtsStats stats() const override { return {}; }
+  std::vector<std::string> in_flight_units() const override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return held_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<std::string> held_;
+  std::function<void(const rts::UnitResult&)> callback_;
+};
+
+TEST_F(ExecFixture, AckOnCompletionPublishesBeforeReleasingDelivery) {
+  ExecConfig cfg;
+  cfg.ack_on_completion = true;
+  cfg.coalesce_completions = true;  // ignored: the ledger never buffers
+  auto rts = std::make_shared<GatedRts>();
+  start_exec(cfg, [rts] { return rts; });
+  // No flusher exists to park results in: only emgr and heartbeat run.
+  EXPECT_EQ(emgr_->worker_count(), 2u);
+
+  std::vector<TaskPtr> tasks = {make_task(0.1), make_task(0.1)};
+  publish_bulk(*broker_, tasks);
+  for (int spin = 0; spin < 2000 && rts->held() < 2; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(rts->held(), 2u);
+
+  auto depth = [this](const std::string& queue) {
+    for (const mq::QueueDepth& d : broker_->depth_snapshot()) {
+      if (d.queue == queue) return d;
+    }
+    return mq::QueueDepth{};
+  };
+  // First unit: its result is on q.completed the moment the callback
+  // returns, but the delivery still carries the second unit, so it stays
+  // claimed.
+  rts->complete_one(
+      [&] {
+        EXPECT_EQ(depth("q.pending").unacked, 1u);
+        EXPECT_EQ(depth("q.completed").ready, 0u);
+      },
+      [&] {
+        EXPECT_EQ(depth("q.completed").ready, 1u);
+        EXPECT_EQ(depth("q.pending").unacked, 1u);
+      });
+  // Last unit: published, then the delivery is released.
+  rts->complete_one([] {},
+                    [&] {
+                      EXPECT_EQ(depth("q.completed").ready, 2u);
+                      EXPECT_EQ(depth("q.pending").unacked, 0u);
+                    });
+  const auto results = collect(2);
+  ASSERT_EQ(results.size(), 2u);
+  for (const json::Value& r : results) {
+    EXPECT_FALSE(r.contains("results"));  // one message per result
+  }
+  EXPECT_EQ(emgr_->in_flight(), 0u);
 }
 
 TEST_F(ExecFixture, DoubleStopIsIdempotent) {

@@ -3,8 +3,10 @@
 // isolation (paper Fig 2, messages 1 and 5).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <thread>
 
+#include "src/common/clock.hpp"
 #include "src/core/state_store.hpp"
 #include "src/core/wfprocessor.hpp"
 
@@ -237,6 +239,118 @@ TEST_F(WfpFixture, BatchedEnqueueShipsBulkPendingAndCoalescedResults) {
     EXPECT_EQ(transitions, 6);
     EXPECT_EQ(store_.state_of(uid), "DONE");
   }
+}
+
+/// Commits of `from -> to` for `uid` in the state store's history.
+int commits(const StateStore& store, const std::string& uid,
+            const std::string& from, const std::string& to) {
+  int n = 0;
+  for (const StateTransaction& t : store.history()) {
+    if (t.uid == uid && t.from_state == from && t.to_state == to) ++n;
+  }
+  return n;
+}
+
+/// Each stage of `app` was scheduled exactly once, and every sync the run
+/// sent was accepted.
+void expect_scheduled_once(const StateStore& store, const PipelinePtr& app,
+                           const Synchronizer& synchronizer) {
+  for (const StagePtr& stage : app->stages()) {
+    EXPECT_EQ(commits(store, stage->uid(), "DESCRIBED", "SCHEDULING"), 1)
+        << stage->name;
+    EXPECT_EQ(commits(store, stage->uid(), "SCHEDULING", "SCHEDULED"), 1)
+        << stage->name;
+    EXPECT_EQ(commits(store, stage->uid(), "SCHEDULED", "DONE"), 1)
+        << stage->name;
+  }
+  EXPECT_EQ(synchronizer.rejected(), 0u);
+}
+
+TEST_F(WfpFixture, FullyRecoveredStageIsScheduledExactlyOnce) {
+  // Stage 0 completed in a previous attempt. Recover it from that
+  // attempt's state journal the way AppManager's resume_journal does.
+  PipelinePtr app = make_app(2, 2);
+  const std::string journal = ::testing::TempDir() + "/wfp_resume_" +
+                              std::to_string(wall_now_us()) + ".journal";
+  {
+    StateStore previous(journal);
+    for (const TaskPtr& t : app->stage_at(0)->tasks()) {
+      previous.commit(t->uid(), "task", "EXECUTED", "DONE", "previous");
+    }
+    previous.flush();
+  }
+  StateStore previous;
+  previous.recover(journal);
+  std::remove(journal.c_str());
+  WfConfig cfg;
+  for (const TaskPtr& t : app->stage_at(0)->tasks()) {
+    ASSERT_EQ(previous.state_of(t->uid()), "DONE");
+    t->set_state(TaskState::Done);
+    cfg.recovered_done.insert(t->uid());
+    store_.commit(t->uid(), "task", "DESCRIBED", "DONE", "recovery");
+  }
+  start_wfp(cfg);
+
+  // Only stage 1 reaches the Pending queue.
+  std::set<std::string> stage1;
+  for (const TaskPtr& t : app->stage_at(1)->tasks()) stage1.insert(t->uid());
+  for (int i = 0; i < 2; ++i) {
+    const std::string uid = pop_pending();
+    EXPECT_EQ(stage1.count(uid), 1u) << uid;
+    complete(uid, "DONE");
+  }
+  wfp_->wait_completion();
+  EXPECT_EQ(app->state(), PipelineState::Done);
+  EXPECT_EQ(wfp_->tasks_recovered(), 2u);
+  expect_scheduled_once(store_, app, *synchronizer_);
+}
+
+TEST_F(WfpFixture, FullyCanceledStageIsScheduledExactlyOnce) {
+  PipelinePtr app = make_app(2, 2);
+  start_wfp();
+  // Stage 0 is in flight; cancel every task of stage 1 before it is
+  // scheduled.
+  const std::string a = pop_pending();
+  const std::string b = pop_pending();
+  std::vector<std::string> later;
+  for (const TaskPtr& t : app->stage_at(1)->tasks()) later.push_back(t->uid());
+  EXPECT_EQ(wfp_->cancel_tasks(later), 2u);
+  EXPECT_EQ(app->stage_at(1)->state(), StageState::Described);
+  complete(a, "DONE");
+  complete(b, "DONE");
+  wfp_->wait_completion();
+  EXPECT_EQ(app->state(), PipelineState::Done);
+  // The canceled tasks never dispatch.
+  EXPECT_FALSE(broker_->get("q.pending", 0.0).has_value());
+  for (const std::string& uid : later) {
+    EXPECT_EQ(store_.state_of(uid), "CANCELED");
+  }
+  expect_scheduled_once(store_, app, *synchronizer_);
+}
+
+TEST_F(WfpFixture, RescanLeavesStageToItsRunningPostExecHook) {
+  // The hook runs after the stage committed DONE, and the enqueue rescan
+  // wakes every 2 ms meanwhile. It must not complete the pipeline under
+  // the hook, whose add_stage would then throw.
+  PipelinePtr app = make_app(1, 1);
+  std::weak_ptr<Pipeline> weak = app;
+  app->stage_at(0)->post_exec = [weak] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    auto stage = std::make_shared<Stage>("appended");
+    auto task = std::make_shared<Task>("t");
+    task->duration_s = 1.0;
+    stage->add_task(task);
+    if (auto p = weak.lock()) p->add_stage(stage);
+  };
+  start_wfp();
+  complete(pop_pending(), "DONE");
+  const std::string next = pop_pending();
+  ASSERT_FALSE(next.empty());
+  complete(next, "DONE");
+  wfp_->wait_completion();
+  EXPECT_EQ(app->state(), PipelineState::Done);
+  EXPECT_EQ(app->stage_count(), 2u);
+  EXPECT_EQ(wfp_->state(), ComponentState::Running);  // never faulted
 }
 
 TEST_F(WfpFixture, StateJournalSeesEveryTransition) {
