@@ -1,43 +1,30 @@
 // net_roundtrip: loopback throughput of the framed TCP broker transport.
 //
 // Spins up a net::BrokerServer on an ephemeral loopback port, connects
-// net::RemoteBroker clients, and pushes messages through publish -> get ->
-// ack cycles four ways:
+// net::RemoteBroker client, and pushes messages through publish -> get ->
+// ack cycles three ways:
 //
-//   unbatched:       one frame roundtrip per message per op (binary codec)
-//   text batched:    publish_batch / get_batch / ack_batch with the JSON
-//                    text codec forced (binary_codec=false) — the PR5-era
-//                    wire format, kept as the in-run baseline
-//   binary batched:  the same batched cycle over the negotiated typed-value
-//                    codec; Message::body() is never rendered on this path,
-//                    asserted via mq::body_render_count()
-//   pipelined:       binary batched with a producer thread publishing while
-//                    the main thread drains get+ack — publish frames queue
-//                    behind the server's scatter-gather writer instead of
-//                    serializing whole phases
+//   unbatched:  one frame roundtrip per message per op
+//   batched:    publish_batch / get_batch / ack_batch
+//   pipelined:  batched with a producer thread publishing while the main
+//               thread drains get+ack — publish frames queue behind the
+//               server's scatter-gather writer instead of serializing
+//               whole phases
 //
 // Over loopback the per-frame syscall + wakeup cost dominates small
-// messages, so batching is where the wire transport earns its keep; the
-// typed-value codec then removes the JSON render/parse from every hop, and
-// pipelining overlaps the request and drain halves of the cycle. Two
-// gates, enforced at the workload where each effect dominates:
+// messages, so batching is where the wire transport earns its keep, and
+// pipelining overlaps the request and drain halves of the cycle.
 //
-//   --check        batched >= 3x unbatched (the PR5 gate, still enforced)
-//                  — run at the small default payload, where per-frame
-//                  roundtrip cost is the bottleneck;
-//   --codec-check  best binary mode (batched or pipelined) >= 3x the
-//                  text-batched baseline measured in the same run — run
-//                  with a large structured payload (e.g. --payload-bytes
-//                  8192), where the codec is the bottleneck.
-//
-// Both gates also require zero Message::body() renders across all binary
-// phases (mq::body_render_count()).
+//   --check   batched >= 3x unbatched, run at the small default payload
+//             where per-frame roundtrip cost is the bottleneck; and zero
+//             Message::body() renders across every phase
+//             (mq::body_render_count()): the typed-value codec never
+//             renders JSON text.
 //
 // Flags: --messages N (default 2000), --batch B (default 64),
 //        --payload-bytes N (default 256), --reps R (best-of, default 3),
-//        --check / --codec-check (enforce the gates), --json-out PATH
-//        (default BENCH_net.json).
-#include <algorithm>
+//        --check (enforce the gate), --json-out PATH (default
+//        BENCH_net.json).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -59,10 +46,8 @@ using namespace entk;
 
 // A structured payload shaped like a task descriptor with telemetry: a few
 // scalar fields plus a block of double samples (timestamps, durations)
-// sized by --payload-bytes (8 wire bytes per element). Structured numeric
-// content is where the codecs differ — JSON pays a double->text render and
-// strtod parse on every hop, the typed-value codec moves the same numbers
-// as fixed-width words.
+// sized by --payload-bytes (8 wire bytes per element): the typed-value
+// codec moves the numbers as fixed-width words.
 mq::Message make_message(const std::string& queue, int i, int data_doubles) {
   json::Value payload;
   payload["i"] = static_cast<std::int64_t>(i);
@@ -76,10 +61,9 @@ mq::Message make_message(const std::string& queue, int i, int data_doubles) {
   return mq::Message::json_body(queue, std::move(payload));
 }
 
-// What every real consumer does first: read the descriptor. On the text
-// codec this is the JSON parse; on the binary codec it is the one lazy
-// TLV decode (payload() is an opaque call with memoizing side effects, so
-// the access cannot be optimized out).
+// What every real consumer does first: read the descriptor, i.e. the one
+// lazy TLV decode (payload() is an opaque call with memoizing side
+// effects, so the access cannot be optimized out).
 void consume(const mq::Delivery& d) {
   if (d.message.payload()->at("i").as_int() < 0) {
     throw MqError("bench: corrupt descriptor");
@@ -196,7 +180,6 @@ int main(int argc, char** argv) {
       static_cast<int>(bench::flag_int(argc, argv, "--payload-bytes", 256));
   const long reps = bench::flag_int(argc, argv, "--reps", 3);
   const bool check = bench::flag_present(argc, argv, "--check");
-  const bool codec_check = bench::flag_present(argc, argv, "--codec-check");
   std::string json_out = "BENCH_net.json";
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::string(argv[i]) == "--json-out") json_out = argv[i + 1];
@@ -211,61 +194,43 @@ int main(int argc, char** argv) {
   net::BrokerServer server(broker, {}, std::make_shared<Profiler>());
   server.start();
 
-  // Two clients against the same server: the default one negotiates the
-  // typed-value codec, the baseline one pins the PR5 text format.
   net::RemoteBrokerConfig client_cfg;
   client_cfg.endpoint = server.endpoint();
   net::RemoteBroker client(client_cfg);
   client.declare_queue(queue, {});
 
-  net::RemoteBrokerConfig text_cfg = client_cfg;
-  text_cfg.binary_codec = false;
-  net::RemoteBroker text_client(text_cfg);
-
   std::printf("loopback broker at %s: %d messages x %d B payload, "
-              "batch=%d, best of %ld (binary codec: %s)\n",
-              server.endpoint().c_str(), messages, payload_bytes, batch, reps,
-              client.negotiated_codec() == net::kCodecBinary ? "on" : "off");
+              "batch=%d, best of %ld\n",
+              server.endpoint().c_str(), messages, payload_bytes, batch, reps);
 
-  Sample unbatched, text_batched, batched, pipelined;
+  Sample unbatched, batched, pipelined;
   std::uint64_t binary_renders = 0;
   for (long r = 0; r < reps; ++r) {  // best-of-R each mode, paired per rep
-    const Sample t = run_cycle(text_client, queue, messages, batch, data_doubles);
     const std::uint64_t renders_before = mq::body_render_count();
     const Sample u = run_cycle(client, queue, messages, 1, data_doubles);
     const Sample b = run_cycle(client, queue, messages, batch, data_doubles);
     const Sample p = run_pipelined(client, queue, messages, batch, data_doubles);
     binary_renders += mq::body_render_count() - renders_before;
-    if (t.msgs_per_s > text_batched.msgs_per_s) text_batched = t;
     if (u.msgs_per_s > unbatched.msgs_per_s) unbatched = u;
     if (b.msgs_per_s > batched.msgs_per_s) batched = b;
     if (p.msgs_per_s > pipelined.msgs_per_s) pipelined = p;
   }
   const double batch_speedup = batched.msgs_per_s / unbatched.msgs_per_s;
-  const double codec_speedup = batched.msgs_per_s / text_batched.msgs_per_s;
-  const double pipeline_speedup =
-      pipelined.msgs_per_s / text_batched.msgs_per_s;
-  // The new-transport gate compares the best binary mode against the
-  // text-codec baseline measured in the same run (machine-independent).
-  const double binary_speedup = std::max(codec_speedup, pipeline_speedup);
+  const double pipeline_speedup = pipelined.msgs_per_s / batched.msgs_per_s;
 
-  std::printf("%16s %14s %14s %9s\n", "cycle", "msgs/s", "elapsed (s)",
-              "vs text");
-  std::printf("%16s %14.0f %14.3f %9s\n", "unbatched", unbatched.msgs_per_s,
-              unbatched.elapsed_s, "-");
-  std::printf("%16s %14.0f %14.3f %9s\n", "text batched",
-              text_batched.msgs_per_s, text_batched.elapsed_s, "1.00x");
-  std::printf("%16s %14.0f %14.3f %8.2fx\n", "binary batched",
-              batched.msgs_per_s, batched.elapsed_s, codec_speedup);
-  std::printf("%16s %14.0f %14.3f %8.2fx\n", "pipelined",
-              pipelined.msgs_per_s, pipelined.elapsed_s, pipeline_speedup);
-  std::printf("batched vs unbatched: %.2fx; body renders during binary "
-              "phases: %llu\n",
-              batch_speedup,
+  std::printf("%16s %14s %14s\n", "cycle", "msgs/s", "elapsed (s)");
+  std::printf("%16s %14.0f %14.3f\n", "unbatched", unbatched.msgs_per_s,
+              unbatched.elapsed_s);
+  std::printf("%16s %14.0f %14.3f\n", "batched", batched.msgs_per_s,
+              batched.elapsed_s);
+  std::printf("%16s %14.0f %14.3f\n", "pipelined", pipelined.msgs_per_s,
+              pipelined.elapsed_s);
+  std::printf("batched vs unbatched: %.2fx; pipelined vs batched: %.2fx; "
+              "body renders: %llu\n",
+              batch_speedup, pipeline_speedup,
               static_cast<unsigned long long>(binary_renders));
 
   client.close();
-  text_client.close();
   server.stop();
   broker->close();
 
@@ -277,13 +242,10 @@ int main(int argc, char** argv) {
   doc["batch"] = batch;
   doc["reps"] = static_cast<std::int64_t>(reps);
   doc["unbatched_msgs_per_s"] = unbatched.msgs_per_s;
-  doc["text_batched_msgs_per_s"] = text_batched.msgs_per_s;
   doc["batched_msgs_per_s"] = batched.msgs_per_s;
   doc["pipelined_msgs_per_s"] = pipelined.msgs_per_s;
   doc["speedup"] = batch_speedup;
-  doc["codec_speedup"] = codec_speedup;
   doc["pipeline_speedup"] = pipeline_speedup;
-  doc["binary_speedup"] = binary_speedup;
   doc["binary_body_renders"] = static_cast<std::int64_t>(binary_renders);
   std::ofstream out(json_out);
   out << doc.dump() << "\n";
@@ -297,17 +259,10 @@ int main(int argc, char** argv) {
                  batch_speedup);
     failed = true;
   }
-  if (codec_check && binary_speedup < 3.0) {
-    std::fprintf(stderr,
-                 "NET CHECK FAILED: expected binary batched/pipelined >= 3x "
-                 "the text-batched baseline, got %.2fx\n",
-                 binary_speedup);
-    failed = true;
-  }
-  if ((check || codec_check) && binary_renders != 0) {
+  if (check && binary_renders != 0) {
     std::fprintf(stderr,
                  "NET CHECK FAILED: %llu Message::body() renders on the "
-                 "binary codec path (expected 0)\n",
+                 "wire path (expected 0)\n",
                  static_cast<unsigned long long>(binary_renders));
     failed = true;
   }

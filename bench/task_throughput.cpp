@@ -16,8 +16,8 @@
 //        --obs-check (batch=256 only: best-of-R with live metrics off vs
 //        on; exit nonzero when the instrumented run loses >= 5% tasks/s),
 //        --payload-sweep (64 B / 4 KiB / 64 KiB payloads through 3 broker
-//        hops, eager serialize-per-hop vs zero-copy shared payloads, plus
-//        an end-to-end 4 KiB A/B; writes BENCH_dispatch.json),
+//        hops, eager serialize-per-hop vs zero-copy shared payloads;
+//        writes BENCH_dispatch.json),
 //        --zero-copy-check (payload sweep + exit nonzero unless zero-copy
 //        gives >= 1.5x eager msgs/s at 4 KiB),
 //        --journal-bench (durable publish latency, per-record flush vs
@@ -108,8 +108,7 @@ struct ObsOptions {
 
 Sample run_once(int pipelines, int tasks, std::size_t batch,
                 const char* profile_csv = nullptr,
-                const ObsOptions& obs = {},
-                std::size_t payload_bytes = 0) {
+                const ObsOptions& obs = {}) {
   entk::bench::EnsembleSpec spec;
   spec.pipelines = pipelines;
   spec.stages = 1;
@@ -128,20 +127,6 @@ Sample run_once(int pipelines, int tasks, std::size_t batch,
 
   entk::AppManager appman(std::move(config));
   std::vector<entk::PipelinePtr> ensemble = entk::bench::make_ensemble(spec);
-  if (payload_bytes > 0) {
-    // Give every task a metadata payload; NoopRts echoes it into the unit
-    // result, so the bytes ride q.pending out and q.completed back.
-    const std::string data(payload_bytes, 'x');
-    for (const entk::PipelinePtr& p : ensemble) {
-      for (const entk::StagePtr& stage : p->stages()) {
-        for (const entk::TaskPtr& task : stage->tasks()) {
-          entk::json::Value meta;
-          meta["data"] = data;
-          task->metadata = std::move(meta);
-        }
-      }
-    }
-  }
   appman.add_pipelines(std::move(ensemble));
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -178,12 +163,12 @@ struct HopSample {
 // in-process broker hops (publish -> consume -> re-publish), mirroring the
 // q.pending -> agent -> q.completed chain a task payload crosses. Zero-copy
 // mode forwards the shared parsed value (a refcount bump per hop); eager
-// mode re-renders the bytes at every publish and re-parses at every consume,
-// which is what the seed's json_body()/body_json() pair did.
+// mode renders the bytes at every publish (the producer included) and
+// re-parses at every consume, which is what the seed's serialize-per-hop
+// messages did.
 HopSample run_hops_once(std::size_t payload_bytes, int messages, bool eager) {
   constexpr int kHops = 3;
   constexpr std::size_t kBatch = 64;
-  entk::mq::set_eager_serialization(eager);
   entk::mq::Broker broker("bench_hops");
   for (int h = 0; h <= kHops; ++h) {
     broker.declare_queue("hop" + std::to_string(h));
@@ -198,7 +183,15 @@ HopSample run_hops_once(std::size_t payload_bytes, int messages, bool eager) {
       entk::json::Value payload;
       payload["uid"] = i;
       payload["data"] = data;
-      out.push_back(entk::mq::Message::json_body("hop0", std::move(payload)));
+      if (eager) {
+        entk::mq::Message m;
+        m.routing_key = "hop0";
+        m.set_body(payload.dump());  // seed: serialize at the producer
+        out.push_back(std::move(m));
+      } else {
+        out.push_back(
+            entk::mq::Message::json_body("hop0", std::move(payload)));
+      }
       if (out.size() == kBatch || i + 1 == messages) {
         broker.publish_batch("hop0", std::move(out));
         out.clear();
@@ -252,7 +245,6 @@ HopSample run_hops_once(std::size_t payload_bytes, int messages, bool eager) {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  entk::mq::set_eager_serialization(false);
 
   if (checksum != payload_bytes * static_cast<std::size_t>(messages)) {
     std::fprintf(stderr, "FATAL: hop sweep lost payload bytes\n");
@@ -491,30 +483,6 @@ int main(int argc, char** argv) {
         rows.push_back(std::move(row));
       }
       doc["hop_sweep"] = std::move(rows);
-
-      // End-to-end A/B at 4 KiB: the same knob flipped under a full
-      // AppManager run (batch=256, no-op RTS, payload echoed through the
-      // done queue). Recorded as supporting evidence, not gated — the
-      // end-to-end number dilutes the message path with scheduling work.
-      Sample e2e_eager, e2e_zero;
-      for (long r = 0; r < reps; ++r) {
-        entk::mq::set_eager_serialization(true);
-        const Sample e = run_once(pipelines, tasks, 256, nullptr, {}, 4096);
-        entk::mq::set_eager_serialization(false);
-        const Sample z = run_once(pipelines, tasks, 256, nullptr, {}, 4096);
-        if (e.tasks_per_s > e2e_eager.tasks_per_s) e2e_eager = e;
-        if (z.tasks_per_s > e2e_zero.tasks_per_s) e2e_zero = z;
-      }
-      const double e2e_speedup = e2e_zero.tasks_per_s / e2e_eager.tasks_per_s;
-      std::printf("\nend-to-end 4 KiB payloads (batch=256): eager %.0f "
-                  "tasks/s, zero-copy %.0f tasks/s (%.2fx)\n",
-                  e2e_eager.tasks_per_s, e2e_zero.tasks_per_s, e2e_speedup);
-      entk::json::Value e2e;
-      e2e["payload_bytes"] = 4096;
-      e2e["eager_tasks_per_s"] = e2e_eager.tasks_per_s;
-      e2e["zero_copy_tasks_per_s"] = e2e_zero.tasks_per_s;
-      e2e["speedup"] = e2e_speedup;
-      doc["end_to_end"] = std::move(e2e);
 
       if (zero_copy_check && speedup_4k < 1.5) {
         std::fprintf(stderr,

@@ -30,7 +30,7 @@ void Profiler::record(const std::string& component, const std::string& event,
 
 std::vector<ProfileEvent> Profiler::events() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return events_;
+  return events_.to_vector();
 }
 
 std::size_t Profiler::size() const {
@@ -65,7 +65,7 @@ double Profiler::paired_sum_s(const std::string& start_event,
   std::lock_guard<std::mutex> lock(mutex_);
   std::map<std::string, std::int64_t> starts;
   double total = 0.0;
-  for (const auto& e : events_) {
+  events_.for_each([&](const ProfileEvent& e) {
     if (e.event == start_event) {
       // Keep the first start per uid.
       starts.emplace(e.uid, e.wall_us);
@@ -76,7 +76,7 @@ double Profiler::paired_sum_s(const std::string& start_event,
         starts.erase(it);
       }
     }
-  }
+  });
   return total;
 }
 
@@ -108,12 +108,12 @@ void Profiler::dump_csv(const std::string& path) const {
   if (f == nullptr) throw EnTKError("Profiler: cannot open " + path);
   std::fprintf(f, "wall_us,virtual_s,component,event,uid\n");
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& e : events_) {
+  events_.for_each([f](const ProfileEvent& e) {
     std::fprintf(f, "%lld,%.6f,%s,%s,%s\n",
                  static_cast<long long>(e.wall_us), e.virtual_s,
                  csv_field(e.component).c_str(), csv_field(e.event).c_str(),
                  csv_field(e.uid).c_str());
-  }
+  });
   std::fclose(f);
 }
 

@@ -16,6 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/chunked_log.hpp"
+
 namespace entk {
 
 struct ProfileEvent {
@@ -73,7 +75,7 @@ class Profiler {
   };
 
   mutable std::mutex mutex_;
-  std::vector<ProfileEvent> events_;
+  ChunkedLog<ProfileEvent> events_;
   std::unordered_map<std::string, EventIndexEntry> index_;
 };
 

@@ -203,14 +203,18 @@ void AppManager::run() {
     worker_directory_ = std::make_unique<worker::WorkerDirectory>(
         broker_, config_.worker_ttl_s, profiler_);
   } else {
-    ExecConfig exec_cfg;
+    worker::WorkerRuntimeConfig exec_cfg;
     exec_cfg.supervision = config_.supervision;
     exec_cfg.submit_batch = std::max(exec_cfg.submit_batch, batch);
     // Dequeue drains bulk Done messages instead of one per unit.
     exec_cfg.coalesce_completions = batch > 1;
-    exec_manager_ = std::make_unique<ExecManager>(
-        exec_cfg, broker_, &registry_, "q.pending", "q.completed",
-        "q.states", config_.rts_factory, profiler_);
+    // The embedded ExecManager resolves pending uids through the live
+    // registry, so task callables survive translation.
+    exec_manager_ = std::make_unique<worker::WorkerRuntime>(
+        "exec_manager", exec_cfg, broker_,
+        [this](const std::string& uid) { return registry_.unit(uid); },
+        "q.pending", "q.completed", "q.states", config_.rts_factory,
+        profiler_);
     exec_manager_->set_fatal_handler([this](const std::string& reason) {
       note_fatal("rts", reason);
       wfprocessor_->abort(reason);

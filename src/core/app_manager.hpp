@@ -2,7 +2,8 @@
 //
 // Holds the application description and all global state; creates the
 // communication infrastructure (broker queues), spawns the Synchronizer,
-// instantiates WFProcessor and ExecManager, and orchestrates the run:
+// instantiates WFProcessor and ExecManager (an embedded
+// worker::WorkerRuntime), and orchestrates the run:
 //   users describe an application as pipelines of stages of tasks, hand it
 //   to AppManager together with a resource description, and call run().
 // AppManager is the single stateful component: every state change flows
@@ -17,7 +18,6 @@
 
 #include "src/common/clock.hpp"
 #include "src/common/profiler.hpp"
-#include "src/core/exec_manager.hpp"
 #include "src/core/overheads.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/resource.hpp"
@@ -30,6 +30,7 @@
 #include "src/obs/trace.hpp"
 #include "src/rts/rts.hpp"
 #include "src/worker/registration.hpp"
+#include "src/worker/worker_runtime.hpp"
 
 namespace entk {
 
@@ -250,7 +251,8 @@ class AppManager {
   ObjectRegistry registry_;
   std::unique_ptr<Synchronizer> synchronizer_;
   std::unique_ptr<WFProcessor> wfprocessor_;
-  std::unique_ptr<ExecManager> exec_manager_;     ///< null in remote mode
+  /// The ExecManager ("exec_manager" component); null in remote mode.
+  std::unique_ptr<worker::WorkerRuntime> exec_manager_;
   std::unique_ptr<worker::WorkerDirectory> worker_directory_;
   std::shared_ptr<Component> adaptive_;  ///< ensemble Controller (optional)
   std::unique_ptr<Supervisor> supervisor_;

@@ -51,11 +51,6 @@ VirtualSpans from_trace(const obs::Trace& trace) {
 
 }  // namespace
 
-OverheadReport compute_overheads(const Profiler& profiler,
-                                 const OverheadInputs& in) {
-  return compute_overheads(obs::build_trace(profiler), in);
-}
-
 OverheadReport compute_overheads(const obs::Trace& trace,
                                  const OverheadInputs& in) {
   OverheadReport r;

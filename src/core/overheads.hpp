@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <string>
 
-#include "src/common/profiler.hpp"
 #include "src/core/resource.hpp"
 #include "src/obs/trace.hpp"
 
@@ -67,13 +66,6 @@ struct OverheadInputs {
 /// paper categories derive from the trace's virtual-time aggregates and
 /// per-unit spans rather than raw event-name scans.
 OverheadReport compute_overheads(const obs::Trace& trace,
-                                 const OverheadInputs& inputs);
-
-/// Compatibility wrapper: stitch a trace from the raw profiler events
-/// ("rts_init_start/stop", "rts_teardown_start/stop", "unit_exec_start/
-/// stop", "unit_stage_*", "unit_received", "unit_done") and compute from
-/// that.
-OverheadReport compute_overheads(const Profiler& profiler,
                                  const OverheadInputs& inputs);
 
 }  // namespace entk

@@ -13,7 +13,7 @@ Pipeline::Pipeline(std::string pipeline_name) : Pipeline() {
 
 void Pipeline::add_stage(StagePtr stage) {
   if (!stage) throw ValueError("pipeline " + uid_, "stage", "non-null stage");
-  if (is_final(state_)) {
+  if (is_final(state())) {
     throw StateError("pipeline " + uid_ +
                      ": cannot add stages to a finished pipeline");
   }
@@ -78,7 +78,7 @@ StagePtr Pipeline::advance_past(const StagePtr& done) {
 
 void Pipeline::reset_for_resume() {
   std::lock_guard<std::mutex> lock(mutex_);
-  state_ = PipelineState::Described;
+  set_state(PipelineState::Described);
   current_ = 0;
   completing_ = false;
   for (const StagePtr& stage : stages_) {
@@ -94,7 +94,7 @@ json::Value Pipeline::to_json() const {
   json::Value v;
   v["uid"] = uid_;
   v["name"] = name;
-  v["state"] = to_string(state_);
+  v["state"] = to_string(state());
   v["current_stage"] = current_;
   json::Value stages = json::Array{};
   for (const StagePtr& s : stages_) stages.push_back(s->to_json());

@@ -33,7 +33,9 @@ class Pipeline {
   void add_stage(StagePtr stage);
 
   const std::string& uid() const { return uid_; }
-  PipelineState state() const { return state_; }
+  PipelineState state() const {
+    return state_.load(std::memory_order_acquire);
+  }
 
   /// Snapshot accessors (thread-safe).
   std::size_t stage_count() const;
@@ -64,7 +66,10 @@ class Pipeline {
   bool held_open() const { return held_open_.load(); }
 
   // Internal (WFProcessor/Synchronizer).
-  void set_state(PipelineState s) { state_ = s; }
+  // Release/acquire like Task::set_state.
+  void set_state(PipelineState s) {
+    state_.store(s, std::memory_order_release);
+  }
   /// Move to the next stage; returns the new current stage or nullptr when
   /// the pipeline is exhausted.
   StagePtr advance();
@@ -82,7 +87,7 @@ class Pipeline {
 
  private:
   std::string uid_;
-  PipelineState state_ = PipelineState::Described;
+  std::atomic<PipelineState> state_{PipelineState::Described};
   mutable std::mutex mutex_;
   std::vector<StagePtr> stages_;
   std::size_t current_ = 0;

@@ -30,7 +30,7 @@ json::Value Stage::to_json() const {
   json::Value v;
   v["uid"] = uid_;
   v["name"] = name;
-  v["state"] = to_string(state_);
+  v["state"] = to_string(state());
   v["parent_pipeline"] = parent_pipeline_;
   json::Value tasks = json::Array{};
   for (const TaskPtr& t : tasks_) tasks.push_back(t->to_json());

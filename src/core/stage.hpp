@@ -9,6 +9,7 @@
 // stages to its pipeline until the prediction error drops below threshold.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -28,7 +29,9 @@ class Stage {
 
   /// Invoked (on the workflow-processor thread) when every task of the
   /// stage has resolved successfully. May add stages to the parent
-  /// pipeline; must not block for long.
+  /// pipeline; must not block for long. The pipeline owns this stage and
+  /// so this hook: a hook must not own its pipeline (or its own stage) —
+  /// capture them through std::weak_ptr, or the cycle leaks all three.
   std::function<void()> post_exec;
 
   void add_task(TaskPtr task);
@@ -36,7 +39,7 @@ class Stage {
   std::size_t task_count() const { return tasks_.size(); }
 
   const std::string& uid() const { return uid_; }
-  StageState state() const { return state_; }
+  StageState state() const { return state_.load(std::memory_order_acquire); }
   const std::string& parent_pipeline() const { return parent_pipeline_; }
 
   /// Throws when empty or when any task description is invalid.
@@ -45,12 +48,13 @@ class Stage {
   json::Value to_json() const;
 
   // Internal.
-  void set_state(StageState s) { state_ = s; }
+  // Release/acquire like Task::set_state.
+  void set_state(StageState s) { state_.store(s, std::memory_order_release); }
   void set_parent(const std::string& pipeline);
 
  private:
   std::string uid_;
-  StageState state_ = StageState::Described;
+  std::atomic<StageState> state_{StageState::Described};
   std::string parent_pipeline_;
   std::vector<TaskPtr> tasks_;
 };

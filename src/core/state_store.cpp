@@ -74,7 +74,7 @@ std::string StateStore::state_of(const std::string& uid) const {
 
 std::vector<StateTransaction> StateStore::history() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return history_;
+  return history_.to_vector();
 }
 
 std::size_t StateStore::transaction_count() const {

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/chunked_log.hpp"
 #include "src/json/json.hpp"
 #include "src/mq/journal.hpp"
 
@@ -93,7 +94,7 @@ class StateStore {
   std::unique_ptr<mq::JournalWriter> writer_;
   std::uint64_t next_seq_ = 1;
   std::map<std::string, std::string> latest_;
-  std::vector<StateTransaction> history_;
+  ChunkedLog<StateTransaction> history_;
   std::function<void(const StateTransaction&)> sink_;
 };
 

@@ -41,6 +41,13 @@ PipelinePtr ObjectRegistry::pipeline(const std::string& uid) const {
   return it == pipelines_.end() ? nullptr : it->second;
 }
 
+std::optional<rts::TaskUnit> ObjectRegistry::unit(
+    const std::string& uid) const {
+  TaskPtr t = task(uid);
+  if (!t) return std::nullopt;
+  return to_unit(*t);
+}
+
 std::size_t ObjectRegistry::task_count() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   return tasks_.size();

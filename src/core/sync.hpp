@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 
@@ -22,7 +23,7 @@
 #include "src/common/component.hpp"
 #include "src/common/profiler.hpp"
 #include "src/core/pipeline.hpp"
-#include "src/mq/channel.hpp"
+#include "src/mq/broker_handle.hpp"
 #include "src/worker/sync_client.hpp"
 
 namespace entk {
@@ -38,6 +39,9 @@ class ObjectRegistry {
   TaskPtr task(const std::string& uid) const;
   StagePtr stage(const std::string& uid) const;
   PipelinePtr pipeline(const std::string& uid) const;
+  /// The task as an RTS unit (to_unit), or nullopt for an unknown uid:
+  /// the embedded ExecManager's resolver.
+  std::optional<rts::TaskUnit> unit(const std::string& uid) const;
 
   std::size_t task_count() const;
   std::vector<PipelinePtr> pipelines() const;

@@ -38,7 +38,7 @@ json::Value Task::to_json() const {
   json::Value v;
   v["uid"] = uid_;
   v["name"] = name;
-  v["state"] = to_string(state_);
+  v["state"] = to_string(state());
   v["executable"] = executable;
   json::Value args = json::Array{};
   for (const std::string& a : arguments) args.push_back(a);

@@ -8,6 +8,7 @@
 // (workloads computing actual results), or both.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -64,7 +65,7 @@ class Task {
 
   // --- runtime state (managed by the toolkit) ----------------------------
   const std::string& uid() const { return uid_; }
-  TaskState state() const { return state_; }
+  TaskState state() const { return state_.load(std::memory_order_acquire); }
   int exit_code() const { return exit_code_; }
   int attempts() const { return attempts_; }
   const std::string& parent_stage() const { return parent_stage_; }
@@ -77,7 +78,10 @@ class Task {
   json::Value to_json() const;
 
   // Internal setters used by the toolkit (Synchronizer, WFProcessor).
-  void set_state(TaskState s) { state_ = s; }
+  // State is read lock-free by every component thread (Enqueue, Dequeue,
+  // the controller) while the Synchronizer writes it: release/acquire so a
+  // reader that sees a state also sees what was written before it.
+  void set_state(TaskState s) { state_.store(s, std::memory_order_release); }
   void set_exit_code(int c) { exit_code_ = c; }
   void bump_attempts() { ++attempts_; }
   void set_parents(std::string pipeline, std::string stage) {
@@ -87,7 +91,7 @@ class Task {
 
  private:
   std::string uid_;
-  TaskState state_ = TaskState::Described;
+  std::atomic<TaskState> state_{TaskState::Described};
   int exit_code_ = -1;
   int attempts_ = 0;
   std::string parent_stage_;

@@ -1,5 +1,7 @@
 #include "src/core/wfprocessor.hpp"
 
+#include <algorithm>
+
 #include "src/common/error.hpp"
 #include "src/common/log.hpp"
 
@@ -134,7 +136,7 @@ void WFProcessor::enqueue_loop() {
     // Resubmissions first: failed tasks that were re-described.
     for (const std::string& uid : retries) {
       TaskPtr task = registry_->task(uid);
-      if (task) enqueue_task(task, sync);
+      if (task) enqueue_task_batch({task}, sync);
     }
 
     if (canceling_.load()) continue;
@@ -231,10 +233,6 @@ void WFProcessor::schedule_stage(const PipelinePtr& pipeline,
       // as resolved in the book already): never dispatch it.
       continue;
     }
-    if (config_.batch_size <= 1) {
-      enqueue_task(task, sync);
-      continue;
-    }
     chunk.push_back(task);
     if (chunk.size() >= config_.batch_size) {
       enqueue_task_batch(chunk, sync);
@@ -262,28 +260,6 @@ void WFProcessor::schedule_stage(const PipelinePtr& pipeline,
   }
 }
 
-void WFProcessor::enqueue_task(const TaskPtr& task, SyncClient& sync) {
-  sync.sync(task->uid(), "task", "DESCRIBED", "SCHEDULING", false);
-  // The Scheduled transition is confirmed before the task becomes runnable:
-  // the state store must know about the task before the RTS can see it.
-  sync.sync(task->uid(), "task", "SCHEDULING", "SCHEDULED", true);
-  json::Value msg;
-  if (config_.inline_units) {
-    // Remote workers have no registry: ship the full unit description.
-    json::Array units;
-    units.push_back(to_unit(*task).to_json());
-    msg["units"] = std::move(units);
-  } else {
-    msg["uid"] = task->uid();
-  }
-  // Recorded before the publish so the trace's causal order holds even
-  // when the consumer records task_submitted on another thread first.
-  profiler_->record("wfprocessor", "task_enqueued", task->uid());
-  if (enqueued_metric_ != nullptr) enqueued_metric_->add(1);
-  broker_->publish(pending_queue_,
-                   mq::Message::json_body(pending_queue_, std::move(msg)));
-}
-
 void WFProcessor::enqueue_task_batch(const std::vector<TaskPtr>& tasks,
                                      SyncClient& sync) {
   std::vector<Transition> scheduling;
@@ -303,11 +279,12 @@ void WFProcessor::enqueue_task_batch(const std::vector<TaskPtr>& tasks,
     }
   }
   sync.sync_batch(scheduling, false);
-  // As in the per-task path, the Scheduled transitions are confirmed
-  // before the tasks become runnable — but with ONE round-trip for the
-  // whole batch.
+  // The Scheduled transitions are confirmed before the tasks become
+  // runnable — the state store must know about a task before the RTS can
+  // see it — with ONE round-trip for the whole batch.
   sync.sync_batch(scheduled, true);
-  // As in enqueue_task: record before the publish for causal trace order.
+  // Recorded before the publish so the trace's causal order holds even
+  // when the consumer records task_submitted on another thread first.
   for (const TaskPtr& task : tasks) {
     profiler_->record("wfprocessor", "task_enqueued", task->uid());
   }
@@ -340,9 +317,8 @@ void WFProcessor::enqueue_task_batch(const std::vector<TaskPtr>& tasks,
 
 void WFProcessor::dequeue_loop() {
   SyncClient sync(broker_, "wfp.dequeue", states_queue_, "q.ack.wfp.deq");
-  // Drain size: at batch_size 1 pull single deliveries (the seed path);
-  // otherwise pull whole backlogs in one queue-lock acquisition.
-  const std::size_t drain = config_.batch_size <= 1 ? 1 : config_.batch_size;
+  // Pull up to a batch of Done messages in one queue-lock acquisition.
+  const std::size_t drain = std::max<std::size_t>(1, config_.batch_size);
   while (!stop_requested()) {
     beat();
     const std::vector<mq::Delivery> deliveries =
@@ -366,29 +342,14 @@ void WFProcessor::dequeue_loop() {
       } catch (const json::ParseError&) {
         continue;
       }
-      if (body->contains("results")) {
-        // Coalesced completion message from a coalescing RTS callback.
-        for (const json::Value& r : body->at("results").as_array()) {
-          results.push_back(&r);
-        }
-      } else {
-        results.push_back(body.get());
+      if (!body->contains("results")) continue;
+      for (const json::Value& r : body->at("results").as_array()) {
+        results.push_back(&r);
       }
       payloads.push_back(std::move(body));
     }
     broker_->ack_batch(done_queue_, tags);
-    if (config_.batch_size <= 1) {
-      for (const json::Value* result : results) {
-        try {
-          resolve_task(*result, sync);
-        } catch (const EnTKError& e) {
-          ENTK_ERROR("wfprocessor") << "failed to resolve task result: "
-                                    << e.what();
-        }
-      }
-    } else {
-      resolve_results(results, sync);
-    }
+    resolve_results(results, sync);
   }
 }
 
@@ -415,7 +376,6 @@ void WFProcessor::resolve_task(const json::Value& result, SyncClient& sync) {
     if (duplicate_metric_ != nullptr) duplicate_metric_->add(1);
     return;
   }
-  const std::string outcome = result.get_string("outcome", "DONE");
   const int exit_code = static_cast<int>(result.get_int("exit_code", 0));
   task->set_exit_code(exit_code);
 
@@ -428,51 +388,38 @@ void WFProcessor::resolve_task(const json::Value& result, SyncClient& sync) {
     throw EnTKError("task " + uid + " has no registered parents");
   }
 
-  const bool failed = outcome != "DONE";
-  if (failed) {
-    sync.sync(uid, "task", "EXECUTED", "FAILED", true);
-    int limit = task->retry_limit >= 0 ? task->retry_limit
-                                       : config_.default_task_retry_limit;
-    if (task->attempts() < limit) {
-      // Resubmission: re-describe and hand back to Enqueue (paper §II-A:
-      // failed tasks are resubmitted without restarting completed tasks).
-      task->bump_attempts();
-      sync.sync(uid, "task", "FAILED", "DESCRIBED", true);
-      ++resubmissions_;
-      profiler_->record("wfprocessor", "task_resubmit", uid);
-      {
-        std::lock_guard<std::mutex> lock(work_mutex_);
-        retry_uids_.push_back(uid);
-      }
-      work_cv_.notify_all();
-      if (resubmit_metric_ != nullptr) resubmit_metric_->add(1);
-      return;
+  sync.sync(uid, "task", "EXECUTED", "FAILED", true);
+  int limit = task->retry_limit >= 0 ? task->retry_limit
+                                     : config_.default_task_retry_limit;
+  if (task->attempts() < limit) {
+    // Resubmission: re-describe and hand back to Enqueue (paper §II-A:
+    // failed tasks are resubmitted without restarting completed tasks).
+    task->bump_attempts();
+    sync.sync(uid, "task", "FAILED", "DESCRIBED", true);
+    ++resubmissions_;
+    profiler_->record("wfprocessor", "task_resubmit", uid);
+    {
+      std::lock_guard<std::mutex> lock(work_mutex_);
+      retry_uids_.push_back(uid);
     }
-    ++tasks_failed_;
-    profiler_->record("wfprocessor", "task_failed", uid);
-    if (failed_metric_ != nullptr) failed_metric_->add(1);
-    emit_task_event(task, "FAILED");
-  } else {
-    sync.sync(uid, "task", "EXECUTED", "DONE", true);
-    ++tasks_done_;
-    profiler_->record("wfprocessor", "task_done", uid);
-    if (done_metric_ != nullptr) done_metric_->add(1);
-    emit_task_event(task, "DONE");
+    work_cv_.notify_all();
+    if (resubmit_metric_ != nullptr) resubmit_metric_->add(1);
+    return;
   }
+  ++tasks_failed_;
+  profiler_->record("wfprocessor", "task_failed", uid);
+  if (failed_metric_ != nullptr) failed_metric_->add(1);
+  emit_task_event(task, "FAILED");
 
   bool stage_complete = false;
-  bool stage_failed = false;
   {
     std::lock_guard<std::mutex> lock(book_mutex_);
     StageBook& book = stage_books_[stage->uid()];
     ++book.resolved;
-    if (failed) ++book.failed;
+    ++book.failed;
     stage_complete = book.claim_finish(stage->task_count());
-    stage_failed = book.failed > 0;
   }
-  if (!stage_complete) return;
-
-  finish_stage(pipeline, stage, stage_failed, sync);
+  if (stage_complete) finish_stage(pipeline, stage, true, sync);
 }
 
 void WFProcessor::resolve_results(const std::vector<const json::Value*>& results,

@@ -28,12 +28,12 @@ struct WfConfig {
   int default_task_retry_limit = 0;
   double poll_timeout_s = 0.002;  ///< wall s queue polls
 
-  /// Tasks per dispatch batch. 1 (the default here) preserves the seed's
-  /// one-message-per-task path exactly. > 1 switches Enqueue to bulk
-  /// `pending` messages ({"uids": [...]}) with vectored state syncs (one
-  /// confirmed round-trip per batch instead of per task) and Dequeue to
-  /// batch drains of the Done queue. Every task still passes through every
-  /// state and profiler event either way — only the message count changes.
+  /// Tasks per dispatch batch: Enqueue publishes `pending` messages
+  /// ({"uids": [...]}) of up to this many tasks with vectored state syncs
+  /// (one confirmed round-trip per batch), and Dequeue drains up to this
+  /// many Done messages at once. 1 is a batch of one on the same path.
+  /// Every task passes through every state and profiler event at any size
+  /// — only the message count changes.
   std::size_t batch_size = 1;
 
   /// Tasks already DONE in a previous attempt (recovered from the state
@@ -136,17 +136,18 @@ class WFProcessor : public Component {
   void dequeue_loop();
   void schedule_stage(const PipelinePtr& pipeline, const StagePtr& stage,
                       SyncClient& sync);
-  void enqueue_task(const TaskPtr& task, SyncClient& sync);
-  /// Bulk path of schedule_stage: one pending message + two vectored syncs
-  /// per chunk of `batch_size` tasks.
+  /// One pending message + two vectored syncs per chunk of `batch_size`
+  /// tasks of a stage.
   void enqueue_task_batch(const std::vector<TaskPtr>& tasks, SyncClient& sync);
-  void resolve_task(const json::Value& result, SyncClient& sync);
-  /// Bulk path of resolve: DONE results of a drained batch share vectored
-  /// Executed/Done syncs; failures fall back to the per-task path. The
-  /// pointers alias completion records inside shared message payloads the
-  /// caller keeps alive (zero-copy dequeue).
+  /// DONE results of a drained batch share vectored Executed/Done syncs;
+  /// failures go to resolve_task. The pointers alias completion records
+  /// inside shared message payloads the caller keeps alive (zero-copy
+  /// dequeue).
   void resolve_results(const std::vector<const json::Value*>& results,
                        SyncClient& sync);
+  /// Failure path of resolve_results: one FAILED result, retried up to the
+  /// task's retry budget or resolved as finally failed.
+  void resolve_task(const json::Value& result, SyncClient& sync);
   void finish_stage(const PipelinePtr& pipeline, const StagePtr& stage,
                     bool stage_failed, SyncClient& sync);
   void set_finishing(const std::string& stage_uid, bool finishing);

@@ -453,55 +453,6 @@ std::size_t Broker::requeue_unacked(const std::string& queue_name) {
   return n;
 }
 
-std::shared_ptr<Exchange> Broker::declare_exchange(const std::string& name,
-                                                   ExchangeType type) {
-  std::unique_lock<std::shared_mutex> lock(exchange_mutex_);
-  if (closed()) throw MqError("broker: closed");
-  const auto it = exchanges_.find(name);
-  if (it != exchanges_.end()) {
-    if (it->second->type() != type) {
-      throw MqError("broker: exchange '" + name +
-                    "' re-declared with different type");
-    }
-    return it->second;
-  }
-  auto ex = std::make_shared<Exchange>(name, type);
-  exchanges_.emplace(name, ex);
-  return ex;
-}
-
-std::shared_ptr<Exchange> Broker::exchange(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(exchange_mutex_);
-  const auto it = exchanges_.find(name);
-  if (it == exchanges_.end()) {
-    throw MqError("broker: no such exchange '" + name + "'");
-  }
-  return it->second;
-}
-
-void Broker::bind_queue(const std::string& exchange_name,
-                        const std::string& queue_name,
-                        const std::string& binding_key) {
-  auto ex = exchange(exchange_name);
-  if (!has_queue(queue_name)) {
-    throw MqError("broker: no such queue '" + queue_name + "'");
-  }
-  ex->bind(queue_name, binding_key);
-}
-
-std::size_t Broker::publish_to_exchange(const std::string& exchange_name,
-                                        const std::string& routing_key,
-                                        Message msg) {
-  auto ex = exchange(exchange_name);
-  std::size_t delivered = 0;
-  for (const std::string& queue_name : ex->route(routing_key)) {
-    Message copy = msg;
-    publish(queue_name, std::move(copy));
-    ++delivered;
-  }
-  return delivered;
-}
-
 void Broker::delete_queue(const std::string& queue_name) {
   Shard& shard = *shards_[shard_of(queue_name)];
   std::unique_lock<std::shared_mutex> lock(shard.mutex);

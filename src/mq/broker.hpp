@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "src/mq/broker_handle.hpp"
-#include "src/mq/exchange.hpp"
 #include "src/mq/journal.hpp"
 #include "src/mq/queue.hpp"
 #include "src/obs/metrics.hpp"
@@ -130,20 +129,6 @@ class Broker : public BrokerHandle {
 
   /// Delete a queue (closing it first).
   void delete_queue(const std::string& queue);
-
-  /// Declare an exchange; re-declaring with a different type is an error.
-  std::shared_ptr<Exchange> declare_exchange(const std::string& exchange,
-                                             ExchangeType type);
-  std::shared_ptr<Exchange> exchange(const std::string& exchange) const;
-
-  /// Bind a declared queue to a declared exchange.
-  void bind_queue(const std::string& exchange, const std::string& queue,
-                  const std::string& binding_key = "");
-
-  /// Publish via an exchange: the message is copied to every queue the
-  /// exchange routes the key to. Returns the number of deliveries.
-  std::size_t publish_to_exchange(const std::string& exchange,
-                                  const std::string& routing_key, Message msg);
 
   /// Close all queues and stop accepting publishes.
   void close() override;
@@ -253,8 +238,6 @@ class Broker : public BrokerHandle {
   std::mutex partitions_mutex_;
   std::atomic<std::shared_ptr<const PartitionMap>> partitions_;
 
-  mutable std::shared_mutex exchange_mutex_;  // guards exchanges_
-  std::map<std::string, std::shared_ptr<Exchange>> exchanges_;
   std::atomic<std::uint64_t> next_seq_{1};
   std::atomic<bool> closed_{false};
 

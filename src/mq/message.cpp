@@ -5,7 +5,6 @@
 namespace entk::mq {
 
 namespace {
-std::atomic<bool> g_eager_serialization{false};
 std::atomic<std::uint64_t> g_body_renders{0};
 std::atomic<TlvDecoder> g_tlv_decoder{nullptr};
 }  // namespace
@@ -16,14 +15,6 @@ void set_tlv_decoder(TlvDecoder decoder) {
 
 TlvDecoder tlv_decoder() {
   return g_tlv_decoder.load(std::memory_order_acquire);
-}
-
-void set_eager_serialization(bool on) {
-  g_eager_serialization.store(on, std::memory_order_relaxed);
-}
-
-bool eager_serialization() {
-  return g_eager_serialization.load(std::memory_order_relaxed);
 }
 
 std::uint64_t body_render_count() {
@@ -59,7 +50,7 @@ const std::shared_ptr<const json::Value>& Message::payload() const {
       payload_ = std::make_shared<const json::Value>(decode(*tlv_));
     } else {
       // Parses the rendered bytes; an empty body (neither representation
-      // ever set) throws ParseError, matching the old body_json() contract.
+      // ever set) throws ParseError.
       payload_ = std::make_shared<const json::Value>(json::parse(body()));
     }
   }
@@ -101,11 +92,7 @@ Message Message::json_body(std::string routing_key, json::Value payload,
   Message m;
   m.routing_key = std::move(routing_key);
   m.headers = std::move(headers);
-  if (eager_serialization()) {
-    m.set_body(payload.dump());
-  } else {
-    m.set_payload(std::move(payload));
-  }
+  m.set_payload(std::move(payload));
   return m;
 }
 

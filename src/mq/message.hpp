@@ -12,11 +12,10 @@
 //     by refcount bump with ZERO serialization;
 //   * a byte body: the serialized JSON text. Needed only at the process
 //     boundary — durable-queue journaling, wire dumps, raw-body publishes;
-//   * typed-value bytes: the binary wire codec's TLV encoding of the
-//     payload (net::append_value format). A message received over a
-//     binary-codec connection carries this form and is re-encoded onto the
-//     wire VERBATIM (memcpy) — a broker relaying between binary peers
-//     never decodes the payload at all.
+//   * typed-value bytes: the wire codec's TLV encoding of the payload
+//     (net::append_value format). A message received over a connection
+//     carries this form and is re-encoded onto the wire VERBATIM (memcpy)
+//     — a broker relaying between peers never decodes the payload at all.
 // Each representation is materialized lazily from the others on first
 // access and memoized on the message, so the journal and any later
 // observability dump never serialize the same message twice, and a
@@ -39,17 +38,10 @@
 
 namespace entk::mq {
 
-/// Benchmark/ablation knob: when on, Message::json_body() renders the byte
-/// body eagerly at construction and drops the structured payload, restoring
-/// the seed's serialize-per-hop behavior (consumers then re-parse). Global,
-/// not per-broker: it exists to A/B the dispatch path, not for production.
-void set_eager_serialization(bool on);
-bool eager_serialization();
-
 /// Process-wide count of payload→JSON-text renders performed by
 /// Message::body() (i.e. the serializations the zero-copy design tries to
 /// avoid). Benches and tests snapshot it around a hot section to *prove* a
-/// path — e.g. the binary wire codec — never rendered JSON text.
+/// path — e.g. the wire codec — never rendered JSON text.
 std::uint64_t body_render_count();
 
 /// Bridge to the typed-value codec, installed by the net layer at load
@@ -115,30 +107,25 @@ class Message {
   /// Install the payload as typed-value (TLV) wire bytes, already validated
   /// by the caller (the net frame decoder). The structured payload decodes
   /// lazily on first payload() access through the installed TlvDecoder;
-  /// until then the message relays across binary-codec connections as a
-  /// verbatim byte copy.
+  /// until then the message relays across connections as a verbatim byte
+  /// copy.
   void set_tlv_payload(std::shared_ptr<const std::string> bytes) {
     tlv_ = std::move(bytes);
     payload_.reset();
     body_.reset();
   }
 
-  /// TLV payload bytes (null unless the message arrived over a binary
-  /// connection and was not re-materialized since).
+  /// TLV payload bytes (null unless the message arrived over a connection
+  /// and was not re-materialized since).
   const std::shared_ptr<const std::string>& shared_tlv_payload() const {
     return tlv_;
   }
 
   /// Build a message carrying `payload` as a structured value: no
   /// serialization happens unless the message crosses a byte boundary
-  /// (durable journal, wire dump). Under set_eager_serialization(true)
-  /// the payload is rendered to bytes immediately instead (seed behavior).
+  /// (durable journal, wire dump).
   static Message json_body(std::string routing_key, json::Value payload,
                            json::Value headers = json::Value());
-
-  /// Compat shim: a deep copy of the structured payload. Prefer payload()
-  /// — it shares instead of copying. Throws json::ParseError like payload().
-  json::Value body_json() const { return *payload(); }
 
   /// Approximate payload size in bytes, for quota accounting. O(1) when a
   /// byte representation exists (rendered body or TLV — always the case

@@ -438,17 +438,13 @@ void BrokerServer::handle_frame(Conn& conn, Frame&& req) {
           return;  // admit_publish answered kErrQuota
         }
         std::size_t off = 0;
-        // kFlagBinary is per frame: the decoder never guesses the codec.
-        mq::Message msg = (req.flags & kFlagBinary) != 0
-                              ? decode_message_binary(req.body, off)
-                              : decode_message(req.body, off);
+        mq::Message msg = decode_message_binary(req.body, off);
         resp.arg = broker_->publish(req.queue, std::move(msg));
         conn.tenant->count_published(1);
         break;
       }
       case Op::kPublishBatch: {
         std::size_t off = 0;
-        const bool binary = (req.flags & kFlagBinary) != 0;
         const std::uint32_t count = get_u32(req.body, off);
         // Admission happens before any message decodes: a throttled batch
         // costs the server a header read, not a full deserialization.
@@ -459,8 +455,7 @@ void BrokerServer::handle_frame(Conn& conn, Frame&& req) {
         std::vector<mq::Message> msgs;
         msgs.reserve(count);
         for (std::uint32_t i = 0; i < count; ++i) {
-          msgs.push_back(binary ? decode_message_binary(req.body, off)
-                                : decode_message(req.body, off));
+          msgs.push_back(decode_message_binary(req.body, off));
         }
         resp.arg = broker_->publish_batch(req.queue, std::move(msgs));
         conn.tenant->count_published(count);
@@ -572,14 +567,10 @@ void BrokerServer::handle_frame(Conn& conn, Frame&& req) {
         resp.body = broker_->health();
         break;
       case Op::kHello: {
-        // Codec negotiation: meet the client at the highest codec both
-        // sides speak. Takes effect for every later delivery this
-        // connection sends; publishes are already self-describing.
-        conn.codec = std::min<std::uint64_t>(req.arg, kCodecBinary);
         // Tenant binding: the hello body names the tenant (empty = the
-        // default — exactly what pre-tenancy clients send). Re-hello with
-        // the same id is idempotent (reconnect paths re-send); naming a
-        // *different* id is an error and leaves the binding unchanged.
+        // default, the same as sending no hello). Re-hello with the same
+        // id is idempotent (reconnect paths re-send); naming a *different*
+        // id is an error and leaves the binding unchanged.
         const std::string& tenant_id = req.body;
         if (conn.hello_seen && conn.tenant != nullptr &&
             tenant_id != conn.tenant->id()) {
@@ -608,7 +599,6 @@ void BrokerServer::handle_frame(Conn& conn, Frame&& req) {
               << conn.tenant->id() << "'";
         }
         resp.op = Op::kHello;
-        resp.arg = conn.codec;
         break;
       }
       case Op::kWorkerHello: {
@@ -703,10 +693,6 @@ bool BrokerServer::try_answer_get(Conn& conn, std::uint64_t corr,
                                   bool batch) {
   Frame resp;
   resp.corr = corr;
-  // Deliveries use whatever codec this connection negotiated; text-codec
-  // clients keep getting exactly the pre-binary wire format.
-  const bool binary = conn.codec == kCodecBinary;
-  if (binary) resp.flags |= kFlagBinary;
   if (batch) {
     std::vector<mq::Delivery> deliveries =
         broker_->get_batch(queue, max_n, 0.0);
@@ -715,11 +701,7 @@ bool BrokerServer::try_answer_get(Conn& conn, std::uint64_t corr,
     put_u32(resp.body, static_cast<std::uint32_t>(deliveries.size()));
     for (const mq::Delivery& d : deliveries) {
       put_u64(resp.body, d.delivery_tag);
-      if (binary) {
-        append_message_binary(resp.body, d.message);
-      } else {
-        append_message(resp.body, d.message);
-      }
+      append_message_binary(resp.body, d.message);
       conn.unacked.emplace_back(queue, d.delivery_tag);
     }
   } else {
@@ -727,11 +709,7 @@ bool BrokerServer::try_answer_get(Conn& conn, std::uint64_t corr,
     if (!delivery.has_value()) return false;
     resp.op = Op::kDelivery;
     resp.arg = delivery->delivery_tag;
-    if (binary) {
-      append_message_binary(resp.body, delivery->message);
-    } else {
-      append_message(resp.body, delivery->message);
-    }
+    append_message_binary(resp.body, delivery->message);
     conn.unacked.emplace_back(queue, delivery->delivery_tag);
   }
   respond(conn, std::move(resp));

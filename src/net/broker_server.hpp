@@ -133,9 +133,6 @@ class BrokerServer : public Component {
     std::deque<std::string> wq;
     std::size_t wq_front_off = 0;  ///< bytes of wq.front() already sent
     std::size_t wq_bytes = 0;      ///< unsent bytes across the queue
-    /// Wire codec negotiated via kHello; kCodecText until then, so
-    /// pre-hello clients are served exactly as before.
-    std::uint64_t codec = kCodecText;
     /// Deliveries handed to this client and not yet acked/nacked:
     /// requeued on disconnect.
     std::vector<std::pair<std::string, std::uint64_t>> unacked;

@@ -141,40 +141,6 @@ std::optional<Frame> decode_frame(std::string_view buf, std::size_t& offset) {
   return frame;
 }
 
-void append_message(std::string& out, const mq::Message& msg) {
-  if (msg.headers.is_null()) {
-    put_u32(out, 0);
-  } else {
-    const std::string headers = msg.headers.dump();
-    put_u32(out, static_cast<std::uint32_t>(headers.size()));
-    out.append(headers);
-  }
-  put_u64(out, msg.seq);
-  // The byte boundary: renders (and memoizes) the structured payload.
-  // A message with neither representation ships an empty body.
-  const std::string& body = msg.body();
-  put_u32(out, static_cast<std::uint32_t>(body.size()));
-  out.append(body);
-}
-
-mq::Message decode_message(std::string_view buf, std::size_t& offset) {
-  mq::Message msg;
-  const std::uint32_t headers_len = get_u32(buf, offset);
-  if (headers_len > 0) {
-    need(buf, offset, headers_len);
-    msg.headers = json::parse(std::string(buf.substr(offset, headers_len)));
-    offset += headers_len;
-  }
-  msg.seq = get_u64(buf, offset);
-  const std::uint32_t body_len = get_u32(buf, offset);
-  need(buf, offset, body_len);
-  // Arrives as bytes; the consumer's first payload() access parses once
-  // and memoizes (recovered-message contract of the lazy Message).
-  msg.set_body(std::string(buf.substr(offset, body_len)));
-  offset += body_len;
-  return msg;
-}
-
 namespace {
 
 // TLV tags of the typed-value codec (see frame.hpp wire-format table).
@@ -390,7 +356,7 @@ json::Value decode_value(std::string_view buf, std::size_t& offset) {
 
 namespace {
 
-// Payload-kind discriminants of the binary message encoding.
+// Payload-kind discriminants of the message encoding.
 enum : unsigned char {
   kPayloadNone = 0,
   kPayloadBytes = 1,
@@ -403,9 +369,9 @@ void append_message_binary(std::string& out, const mq::Message& msg) {
   append_value(out, msg.headers);
   put_u64(out, msg.seq);
   if (msg.shared_tlv_payload() != nullptr) {
-    // The payload arrived over a binary connection and was never touched
-    // since: relay the already-validated TLV bytes verbatim. A broker
-    // sitting between two binary peers moves payloads by memcpy alone.
+    // The payload arrived over the wire and was never touched since: relay
+    // the already-validated TLV bytes verbatim. A broker sitting between
+    // two peers moves payloads by memcpy alone.
     out.push_back(static_cast<char>(kPayloadValue));
     out.append(*msg.shared_tlv_payload());
   } else if (msg.has_payload()) {

@@ -13,10 +13,9 @@
 //   u16  queue_len   + that many queue-name bytes
 //   ...  body        op-specific payload (rest of the frame)
 //
-// Messages cross the wire as (headers-JSON, seq, body-bytes) triples —
-// this is the serialization boundary the PR-4 lazy Message was built for:
-// Message::body() renders exactly here, and the in-process fast path never
-// pays it.
+// Messages cross the wire in the typed-value (TLV) codec below: a
+// structured payload is walked straight into bytes, never rendered to JSON
+// text, and the in-process fast path pays nothing at all.
 //
 // decode_frame is incremental: feed it a receive buffer and an offset; it
 // returns nullopt while the buffer holds only a partial frame and throws
@@ -58,25 +57,19 @@ enum class Op : std::uint8_t {
   kDepth = 11,
   kHeartbeat = 12, ///< server echoes with broker health in the body
   kClose = 13,     ///< client going away; server requeues its unacked
-  kHello = 14,     ///< codec + tenant negotiation: arg = highest codec the
-                   ///< sender speaks; body = tenant id (empty/absent = the
-                   ///< default tenant, i.e. tenant-less wire behavior —
-                   ///< old clients never send a body here and land there
-                   ///< automatically). The server echoes kHello with the
-                   ///< negotiated codec (min of both sides) and binds the
-                   ///< connection to the tenant; an invalid or unknown
-                   ///< (auto-register off) tenant id gets kError and the
-                   ///< connection is dropped — a misaddressed ensemble
-                   ///< must not silently run in the default namespace. A
-                   ///< pre-hello server answers kError instead — the
-                   ///< client ignores it and stays on the text codec, so
-                   ///< old peers interoperate.
+  kHello = 14,     ///< tenant binding: body = tenant id. Sent only by a
+                   ///< client configured with a tenant; a connection that
+                   ///< never says hello is served in the default tenant.
+                   ///< The server echoes kHello and binds the connection
+                   ///< to the tenant; an invalid or unknown (auto-register
+                   ///< off) tenant id gets kError and the connection is
+                   ///< dropped — a misaddressed ensemble must not silently
+                   ///< run in the default namespace.
   kWorkerHello = 15, ///< worker identity: body = worker id. Marks this
                      ///< connection as an execution worker, subject to the
                      ///< server's worker liveness TTL (a silent worker's
                      ///< connection is dropped and its unacked deliveries
-                     ///< requeued). A pre-worker server answers kError,
-                     ///< which identity-announcing clients ignore.
+                     ///< requeued).
 
   // responses (server -> client)
   kOk = 64,           ///< arg = op-specific count/seq; kFlagEmpty on dry get
@@ -95,15 +88,6 @@ inline constexpr std::uint32_t kFlagDurable = 1u << 0;  ///< kDeclare
 inline constexpr std::uint32_t kFlagRequeue = 1u << 1;  ///< kNack
 inline constexpr std::uint32_t kFlagEmpty = 1u << 2;    ///< kOk: empty get
 inline constexpr std::uint32_t kFlagTrue = 1u << 3;     ///< kOk: bool result
-/// Message-bearing frame bodies use the binary typed-value codec
-/// (append_message_binary) instead of JSON text. Set per frame, so a
-/// decoder never guesses: negotiation only decides what a sender *emits*.
-inline constexpr std::uint32_t kFlagBinary = 1u << 4;
-
-/// Codec identifiers exchanged via kHello. Text is the implicit default
-/// every peer speaks; binary is the typed-value codec of this revision.
-inline constexpr std::uint64_t kCodecText = 0;
-inline constexpr std::uint64_t kCodecBinary = 1;
 
 /// Upper bound on one frame (prefix excluded): large enough for any
 /// realistic dispatch batch, small enough that a corrupt prefix fails fast.
@@ -147,14 +131,7 @@ void append_frame_header(std::string& out, const Frame& frame,
 /// for an oversized or truncated-inside-header frame.
 std::optional<Frame> decode_frame(std::string_view buf, std::size_t& offset);
 
-// --- message codec (text, codec 0) ----------------------------------------
-/// Wire form of one mq::Message: u32 headers_len (0 = null headers) +
-/// headers JSON text, u64 seq, u32 body_len + body bytes. Rendering the
-/// byte body here IS the process boundary of the zero-copy design.
-void append_message(std::string& out, const mq::Message& msg);
-mq::Message decode_message(std::string_view buf, std::size_t& offset);
-
-// --- typed-value codec (binary, codec 1) ----------------------------------
+// --- typed-value codec ----------------------------------------------------
 // Compact tag-length-value encoding of json::Value, so structured payloads
 // cross the wire without ever rendering JSON text (PR 4's
 // serialize-at-the-boundary invariant pushed through the network boundary).
@@ -177,7 +154,7 @@ inline constexpr std::size_t kMaxValueDepth = 64;
 void append_value(std::string& out, const json::Value& v);
 json::Value decode_value(std::string_view buf, std::size_t& offset);
 
-/// Binary wire form of one mq::Message: headers value (TLV), u64 seq, u8
+/// Wire form of one mq::Message, used by every message-bearing frame: headers value (TLV), u64 seq, u8
 /// payload kind + kind-specific bytes:
 ///   kind 0  no payload (message carried neither representation)
 ///   kind 1  raw bytes: u32 len + the already-rendered body verbatim
@@ -186,7 +163,8 @@ json::Value decode_value(std::string_view buf, std::size_t& offset);
 /// calls Message::body(), so NO JSON text is rendered; the receiver's
 /// Message comes back with set_payload(), keeping the zero-copy chain
 /// intact across the socket. Messages that only ever had bytes (recovered
-/// journals, raw publishes) ship those bytes verbatim as kind 1.
+/// journals, raw publishes) ship those bytes verbatim as kind 1. Null
+/// headers and an empty body round-trip as such.
 void append_message_binary(std::string& out, const mq::Message& msg);
 mq::Message decode_message_binary(std::string_view buf, std::size_t& offset);
 

@@ -103,9 +103,8 @@ void RemoteBroker::io_loop() {
       }
       reconnects_.fetch_add(1, std::memory_order_relaxed);
       if (reconnects_metric_ != nullptr) reconnects_metric_->add();
-      // Re-hello: the new connection (possibly to a restarted, older
-      // daemon) starts from text and the default tenant like every
-      // connection does.
+      // Re-hello: the new connection (possibly to a restarted daemon)
+      // starts in the default tenant like every connection does.
       send_hello();
       announce_worker();
       // Re-declare before announcing connected: TCP ordering then puts
@@ -129,7 +128,6 @@ void RemoteBroker::io_loop() {
     serve_connection(fd);
 
     connected_.store(false, std::memory_order_release);
-    codec_.store(kCodecText, std::memory_order_release);
     {
       std::lock_guard<std::mutex> lk(write_mutex_);
       if (fd_ >= 0) {
@@ -206,14 +204,11 @@ void RemoteBroker::dispatch(Frame&& resp) {
   last_pong_us_.store(now_us(), std::memory_order_relaxed);
   if (resp.corr == 0) {
     // io-thread-originated traffic: heartbeat echoes carry broker health;
-    // re-declare kOk responses need no handling. A kError here is an old
-    // server rejecting our hello — ignored, the codec stays text.
+    // hello echoes and re-declare kOk responses need no handling. A kError
+    // here refuses our tenant; the server drops the connection after it.
     if (resp.op == Op::kHeartbeat) {
       std::lock_guard<std::mutex> lk(health_mutex_);
       last_health_ = std::move(resp.body);
-    } else if (resp.op == Op::kHello) {
-      codec_.store(std::min(resp.arg, kCodecBinary),
-                   std::memory_order_release);
     }
     return;
   }
@@ -236,23 +231,20 @@ void RemoteBroker::fail_pending(const std::string& why) {
 }
 
 void RemoteBroker::send_hello() {
-  if (!config_.binary_codec && config_.tenant.empty()) return;
-  // Offer the codec and name the tenant; until the ack lands (handled by
-  // the io thread) every frame this client emits stays text, which any
-  // server understands — so the offer costs nothing against old daemons.
-  // A pre-tenancy daemon ignores the body entirely.
+  if (config_.tenant.empty()) return;
+  // Fire-and-forget: nothing waits for the echo. TCP ordering puts the
+  // hello ahead of every request on this connection, so the server binds
+  // the tenant before it serves any of them.
   Frame hello;
   hello.op = Op::kHello;
   hello.corr = 0;
-  hello.arg = config_.binary_codec ? kCodecBinary : kCodecText;
   hello.body = config_.tenant;
   send_frame(hello);
 }
 
 void RemoteBroker::announce_worker() {
   if (config_.worker_id.empty()) return;
-  // Fire-and-forget like the codec hello: a pre-worker daemon answers
-  // kError with corr 0, which dispatch() ignores.
+  // Fire-and-forget like the tenant hello.
   Frame hello;
   hello.op = Op::kWorkerHello;
   hello.corr = 0;
@@ -439,12 +431,7 @@ std::uint64_t RemoteBroker::publish(const std::string& queue,
   Frame req;
   req.op = Op::kPublish;
   req.queue = queue;
-  if (codec_.load(std::memory_order_acquire) == kCodecBinary) {
-    req.flags |= kFlagBinary;
-    append_message_binary(req.body, msg);
-  } else {
-    append_message(req.body, msg);
-  }
+  append_message_binary(req.body, msg);
   const Frame resp = roundtrip_retry(req, "publish");
   observe_op(publish_us_, started);
   return resp.arg;
@@ -457,12 +444,7 @@ std::uint64_t RemoteBroker::publish_batch(const std::string& queue,
   req.op = Op::kPublishBatch;
   req.queue = queue;
   put_u32(req.body, static_cast<std::uint32_t>(msgs.size()));
-  if (codec_.load(std::memory_order_acquire) == kCodecBinary) {
-    req.flags |= kFlagBinary;
-    for (const mq::Message& msg : msgs) append_message_binary(req.body, msg);
-  } else {
-    for (const mq::Message& msg : msgs) append_message(req.body, msg);
-  }
+  for (const mq::Message& msg : msgs) append_message_binary(req.body, msg);
   const Frame resp = roundtrip_retry(req, "publish_batch");
   observe_op(publish_batch_us_, started);
   return resp.arg;
@@ -484,11 +466,7 @@ std::optional<mq::Delivery> RemoteBroker::get(const std::string& queue,
   std::size_t off = 0;
   mq::Delivery delivery;
   delivery.delivery_tag = resp->arg;
-  // kFlagBinary is per frame, so deliveries decode correctly even across
-  // the hello handshake race on a fresh connection.
-  delivery.message = (resp->flags & kFlagBinary) != 0
-                         ? decode_message_binary(resp->body, off)
-                         : decode_message(resp->body, off);
+  delivery.message = decode_message_binary(resp->body, off);
   return delivery;
 }
 
@@ -508,15 +486,13 @@ std::vector<mq::Delivery> RemoteBroker::get_batch(const std::string& queue,
   observe_op(get_batch_us_, started);
   if (!resp.has_value() || resp->op != Op::kDeliveryBatch) return {};
   std::size_t off = 0;
-  const bool binary = (resp->flags & kFlagBinary) != 0;
   const std::uint32_t count = get_u32(resp->body, off);
   std::vector<mq::Delivery> deliveries;
   deliveries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     mq::Delivery delivery;
     delivery.delivery_tag = get_u64(resp->body, off);
-    delivery.message = binary ? decode_message_binary(resp->body, off)
-                              : decode_message(resp->body, off);
+    delivery.message = decode_message_binary(resp->body, off);
     deliveries.push_back(std::move(delivery));
   }
   return deliveries;

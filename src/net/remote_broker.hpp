@@ -58,22 +58,16 @@ struct RemoteBrokerConfig {
   double retry_deadline_s = 30.0;  ///< bound on retried operations
   double heartbeat_interval_s = 0.25;
   double response_grace_s = 5.0;   ///< response wait beyond the op timeout
-  /// Offer the binary typed-value codec via kHello on every (re)connect.
-  /// Publishes switch to binary only after the server's hello ack, so a
-  /// pre-hello daemon keeps this client on the text codec transparently.
-  bool binary_codec = true;
   /// Tenant namespace this client binds via kHello (the hello body carries
-  /// the id on every (re)connect). Empty = the default tenant, i.e. exact
-  /// tenant-less wire behavior against every daemon generation. A
-  /// tenant-enabled daemon rejects an unknown/invalid id with kError and
+  /// the id on every (re)connect). Empty = the default tenant: no hello is
+  /// sent at all. The daemon rejects an unknown/invalid id with kError and
   /// drops the connection — the retried operation then fails with MqError
   /// instead of silently running in the wrong namespace.
   std::string tenant;
   /// When non-empty, announce this connection as an execution worker
   /// (kWorkerHello on every (re)connect): the server then applies its
   /// worker liveness TTL, dropping the connection — and requeuing its
-  /// unacked deliveries — if the worker falls silent. A pre-worker daemon
-  /// answers kError, which is ignored.
+  /// unacked deliveries — if the worker falls silent.
   std::string worker_id;
 };
 
@@ -130,11 +124,6 @@ class RemoteBroker : public mq::BrokerHandle {
   std::uint64_t quota_throttled() const {
     return quota_throttled_.load(std::memory_order_relaxed);
   }
-  /// Codec this connection negotiated (kCodecText until the hello ack
-  /// lands; resets on every disconnect).
-  std::uint64_t negotiated_codec() const {
-    return codec_.load(std::memory_order_acquire);
-  }
 
  private:
   struct PendingSlot {
@@ -145,12 +134,11 @@ class RemoteBroker : public mq::BrokerHandle {
   };
 
   void io_loop();
-  /// Fire-and-forget kHello carrying the codec offer and the tenant id
-  /// (run on every (re)connect; skipped when neither is configured, i.e.
-  /// a text-codec default-tenant client stays byte-identical to PR 5).
+  /// Fire-and-forget kHello binding config_.tenant (run on every
+  /// (re)connect; skipped for the default tenant).
   void send_hello();
   /// Fire-and-forget kWorkerHello when config_.worker_id is set (run on
-  /// every (re)connect, like the codec hello).
+  /// every (re)connect, like the tenant hello).
   void announce_worker();
   /// Read/dispatch/heartbeat until the connection dies or close() runs.
   void serve_connection(int fd);
@@ -183,9 +171,6 @@ class RemoteBroker : public mq::BrokerHandle {
   int fd_ = -1;
   std::atomic<bool> connected_{false};
   std::atomic<bool> closed_{false};
-  /// Negotiated wire codec; written by the io thread (hello ack /
-  /// disconnect), read by publisher threads deciding what to emit.
-  std::atomic<std::uint64_t> codec_{kCodecText};
   mutable std::mutex conn_mutex_;
   mutable std::condition_variable conn_cv_;
 

@@ -24,7 +24,7 @@
 
 #include "src/common/component.hpp"
 #include "src/common/profiler.hpp"
-#include "src/mq/channel.hpp"
+#include "src/mq/broker_handle.hpp"
 
 namespace entk::worker {
 

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "src/mq/channel.hpp"
+#include "src/mq/broker_handle.hpp"
 
 namespace entk {
 

@@ -69,8 +69,8 @@ void WorkerRuntime::acquire_resources() {
 
 void WorkerRuntime::attach_callback() {
   // RTS Callback subcomponent: forward completions to the Done queue
-  // (paper Fig 2, message 4). With coalescing on, results leave as bulk
-  // Done messages instead of one publish per unit.
+  // (paper Fig 2, message 4) as {"results": [...]} messages. With
+  // coalescing on, results share one message; otherwise each leaves alone.
   std::lock_guard<std::mutex> lock(rts_mutex_);
   rts_->set_completion_callback([this](const rts::UnitResult& result) {
     json::Value msg;
@@ -104,12 +104,9 @@ void WorkerRuntime::attach_callback() {
       if (wake) flush_cv_.notify_one();
     }
     if (!coalesced) {
-      try {
-        broker_->publish(done_queue_,
-                         mq::Message::json_body(done_queue_, std::move(msg)));
-      } catch (const MqError&) {
-        // AppManager broker is gone: we are shutting down.
-      }
+      std::vector<json::Value> one;
+      one.push_back(std::move(msg));
+      flush_completions(std::move(one));
     }
     // Release the delivery claim only after the result reached the Done
     // queue (ack_on_completion never buffers): a crash before this point
@@ -359,10 +356,9 @@ void WorkerRuntime::emgr_loop() {
       want = std::min(want, config_.max_in_flight - flying);
     }
     // Batch: drain whatever is pending, up to submit_batch, in one broker
-    // round-trip. Three wire formats are accepted: {"uid": ...} (one task
-    // per message, seed format), {"uids": [...]} (bulk Enqueue), and
-    // {"units": [...]} (self-contained units for registry-less remote
-    // workers).
+    // round-trip. Two wire formats are accepted: {"uids": [...]} (registry
+    // uids, resolved in-process) and {"units": [...]} (self-contained units
+    // for registry-less remote workers).
     const std::vector<mq::Delivery> deliveries =
         broker_->get_batch(pending_queue_, want, config_.poll_timeout_s);
     if (deliveries.empty()) continue;
@@ -372,17 +368,6 @@ void WorkerRuntime::emgr_loop() {
     std::vector<std::uint64_t> tags;
     std::vector<std::size_t> message_ends;  ///< batch.size() after each message
     tags.reserve(deliveries.size());
-    auto take = [&](const std::string& uid) {
-      std::optional<rts::TaskUnit> unit = resolver_ ? resolver_(uid)
-                                                    : std::nullopt;
-      if (!unit) {
-        ENTK_WARN(sync_component_) << "pending message for unknown task "
-                                   << uid;
-        return;
-      }
-      batch.push_back(std::move(*unit));
-      uids.push_back(uid);
-    };
     for (const mq::Delivery& delivery : deliveries) {
       tags.push_back(delivery.delivery_tag);
       std::shared_ptr<const json::Value> msg;
@@ -401,10 +386,17 @@ void WorkerRuntime::emgr_loop() {
         }
       } else if (msg->contains("uids")) {
         for (const json::Value& u : msg->at("uids").as_array()) {
-          take(u.as_string());
+          const std::string& uid = u.as_string();
+          std::optional<rts::TaskUnit> unit =
+              resolver_ ? resolver_(uid) : std::nullopt;
+          if (!unit) {
+            ENTK_WARN(sync_component_) << "pending message for unknown task "
+                                       << uid;
+            continue;
+          }
+          batch.push_back(std::move(*unit));
+          uids.push_back(uid);
         }
-      } else {
-        take(msg->get_string("uid", ""));
       }
       if (config_.ack_on_completion) {
         ledger_track(delivery.delivery_tag,

@@ -1,10 +1,10 @@
 // WorkerRuntime: the reusable Rmgr/Emgr/RtsCallback execution stack.
 //
-// Extracted from the in-process ExecManager (paper Fig 2) so the same
-// machinery runs in two deployments:
-//   - embedded: AppManager constructs it (via the ExecManager wrapper in
-//     src/core) with a resolver backed by the live ObjectRegistry — the
-//     original single-process layout, behaviour unchanged;
+// It is the paper's ExecManager (Fig 2), and the same machinery runs in
+// two deployments:
+//   - embedded: AppManager constructs it as the "exec_manager" component
+//     with a resolver backed by the live ObjectRegistry (task callables
+//     survive translation) — the single-process layout;
 //   - remote: the entk_worker daemon constructs it against a RemoteBroker,
 //     resolving units from the `{"units": [...]}` wire form the AppManager
 //     publishes in --workers mode, so N worker processes drain one
@@ -41,7 +41,8 @@ namespace entk::worker {
 
 /// Maps a pending-queue uid to a submittable unit. The embedded deployment
 /// resolves through the ObjectRegistry (callables survive); the daemon has
-/// no registry and returns nullopt for uid-only messages it cannot serve.
+/// no registry and returns nullopt for every uid: it serves only
+/// {"units"} messages.
 using UnitResolver =
     std::function<std::optional<rts::TaskUnit>(const std::string& uid)>;
 
@@ -60,7 +61,7 @@ struct WorkerRuntimeConfig {
   /// flusher that publishes whatever accumulated while it was busy, so
   /// batches grow with load and an idle system adds no delay. Ignored
   /// with ack_on_completion, which publishes each result before releasing
-  /// its delivery. false = one Done message per unit (seed behavior).
+  /// its delivery. false = one {"results": [r]} message per unit.
   bool coalesce_completions = false;
 
   /// Sample ready/unacked depth of every broker queue from the heartbeat
@@ -71,7 +72,7 @@ struct WorkerRuntimeConfig {
 
   /// Private sync-ack queue. Must be unique per runtime instance when
   /// several workers share one broker (the daemon derives it from the
-  /// worker id); the embedded ExecManager keeps the historical name.
+  /// worker id); the embedded runtime keeps the historical name.
   std::string ack_queue = "q.ack.emgr";
 
   /// At-least-once delivery: hold the pending-queue delivery unacked until
@@ -162,7 +163,7 @@ class WorkerRuntime : public Component {
   /// completes inline leave as one Done message when it returns.
   void submit_to_rts(std::vector<rts::TaskUnit> batch);
   void flush_loop();
-  /// Publish buffered completion results as one bulk Done message.
+  /// Publish completion results as one {"results": [...]} Done message.
   void flush_completions(std::vector<json::Value> buffered);
 
   // --- at-least-once delivery ledger (ack_on_completion mode) -----------

@@ -54,7 +54,7 @@ class AgentHarness {
       auto d = broker_->get("out", 0.01);
       if (!d) continue;
       broker_->ack("out", d->delivery_tag);
-      results.push_back(UnitResult::from_json(d->message.body_json()));
+      results.push_back(UnitResult::from_json(*d->message.payload()));
     }
     return results;
   }

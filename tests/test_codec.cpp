@@ -207,13 +207,13 @@ mq::Message structured_message() {
   return m;
 }
 
-std::string encode_message(const mq::Message& m) {
+std::string encode_wire(const mq::Message& m) {
   std::string out;
   net::append_message_binary(out, m);
   return out;
 }
 
-mq::Message decode_message(const std::string& wire) {
+mq::Message decode_wire(const std::string& wire) {
   std::size_t offset = 0;
   mq::Message m = net::decode_message_binary(wire, offset);
   EXPECT_EQ(offset, wire.size());
@@ -223,8 +223,8 @@ mq::Message decode_message(const std::string& wire) {
 TEST(BinaryMessage, StructuredPayloadRoundTripsWithoutRenderingJson) {
   const mq::Message original = structured_message();
   const std::uint64_t renders_before = mq::body_render_count();
-  const std::string wire = encode_message(original);
-  mq::Message decoded = decode_message(wire);
+  const std::string wire = encode_wire(original);
+  mq::Message decoded = decode_wire(wire);
   EXPECT_EQ(decoded.seq, original.seq);
   EXPECT_EQ(decoded.headers, original.headers);
   // Decoding keeps the TLV bytes; the value materializes lazily.
@@ -239,19 +239,19 @@ TEST(BinaryMessage, TlvBackedMessageRelaysVerbatim) {
   // broker-in-the-middle: decode off one connection, re-encode for
   // another. The payload bytes must pass through untouched with no decode
   // and no render.
-  const std::string wire = encode_message(structured_message());
+  const std::string wire = encode_wire(structured_message());
   const std::uint64_t renders_before = mq::body_render_count();
-  mq::Message relay = decode_message(wire);
-  const std::string rewire = encode_message(relay);
+  mq::Message relay = decode_wire(wire);
+  const std::string rewire = encode_wire(relay);
   EXPECT_EQ(rewire, wire);
   EXPECT_FALSE(relay.has_payload());  // never decoded
   EXPECT_EQ(mq::body_render_count(), renders_before);
 }
 
 TEST(BinaryMessage, TlvBackedMessageRendersBodyOnDemand) {
-  mq::Message decoded = decode_message(encode_message(structured_message()));
+  mq::Message decoded = decode_wire(encode_wire(structured_message()));
   const std::uint64_t renders_before = mq::body_render_count();
-  // A byte boundary that genuinely needs JSON text (journal, text peer)
+  // A byte boundary that genuinely needs JSON text (the durable journal)
   // pays exactly one decode + one render.
   const std::string& body = decoded.body();
   EXPECT_EQ(mq::body_render_count(), renders_before + 1);
@@ -262,7 +262,7 @@ TEST(BinaryMessage, RenderedBodyShipsVerbatimBytes) {
   mq::Message m;
   m.seq = 7;
   m.set_body(std::string("opaque \0 bytes, not json", 24));
-  mq::Message decoded = decode_message(encode_message(m));
+  mq::Message decoded = decode_wire(encode_wire(m));
   EXPECT_EQ(decoded.seq, 7u);
   ASSERT_TRUE(decoded.has_rendered_body());
   EXPECT_EQ(decoded.body(), m.body());
@@ -271,7 +271,7 @@ TEST(BinaryMessage, RenderedBodyShipsVerbatimBytes) {
 TEST(BinaryMessage, EmptyMessageRoundTrips) {
   mq::Message m;
   m.seq = 1;
-  mq::Message decoded = decode_message(encode_message(m));
+  mq::Message decoded = decode_wire(encode_wire(m));
   EXPECT_EQ(decoded.seq, 1u);
   EXPECT_FALSE(decoded.has_payload());
   EXPECT_FALSE(decoded.has_rendered_body());
@@ -279,7 +279,7 @@ TEST(BinaryMessage, EmptyMessageRoundTrips) {
 }
 
 TEST(BinaryMessage, TruncationAtEverySplitPointThrows) {
-  const std::string wire = encode_message(structured_message());
+  const std::string wire = encode_wire(structured_message());
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
     std::size_t offset = 0;
     EXPECT_THROW(net::decode_message_binary(
@@ -311,7 +311,7 @@ TEST(BinaryMessage, UnknownPayloadKindRejected) {
 }
 
 TEST(BinaryMessage, SettersDropStaleTlvRepresentation) {
-  mq::Message decoded = decode_message(encode_message(structured_message()));
+  mq::Message decoded = decode_wire(encode_wire(structured_message()));
   ASSERT_NE(decoded.shared_tlv_payload(), nullptr);
   decoded.set_body("replaced");
   EXPECT_EQ(decoded.shared_tlv_payload(), nullptr);

@@ -1,10 +1,11 @@
 // Unit + property tests for the common layer: uids, state machines,
-// profiler, logging.
+// profiler and its chunked log, logging.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <thread>
 
+#include "src/common/chunked_log.hpp"
 #include "src/common/clock.hpp"
 #include "src/common/error.hpp"
 #include "src/common/ids.hpp"
@@ -249,6 +250,28 @@ TEST(ProfilerTest, IndexSurvivesClearAndHeavyLoad) {
   p.clear();
   EXPECT_EQ(p.count("even"), 0u);
   EXPECT_FALSE(p.first_us("even").has_value());
+}
+
+TEST(ChunkedLogTest, AppendsAcrossChunksInOrderWithoutMovingRecords) {
+  ChunkedLog<std::string, 4> log;
+  log.push_back("r0");
+  const std::string* first = &log.back();
+  for (int i = 1; i < 11; ++i) log.push_back("r" + std::to_string(i));
+  std::vector<const std::string*> seen;
+  log.for_each([&seen](const std::string& r) { seen.push_back(&r); });
+  ASSERT_EQ(seen.size(), 11u);
+  // Three chunks later the first record is still where it was appended.
+  EXPECT_EQ(seen.front(), first);
+  EXPECT_EQ(log.size(), 11u);
+  EXPECT_EQ(log.back(), "r10");
+  const std::vector<std::string> copy = log.to_vector();
+  ASSERT_EQ(copy.size(), 11u);
+  for (int i = 0; i < 11; ++i) EXPECT_EQ(copy[i], "r" + std::to_string(i));
+  log.clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_TRUE(log.to_vector().empty());
+  log.push_back("again");
+  EXPECT_EQ(log.back(), "again");
 }
 
 TEST(Logging, LevelParsingAndGate) {

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <thread>
 
 #include "src/core/overheads.hpp"
 #include "src/core/state_store.hpp"
@@ -110,6 +111,42 @@ TEST(PipelineDescription, NoExtensionAfterFinal) {
   p.add_stage(s);
   p.set_state(PipelineState::Done);
   EXPECT_THROW(p.add_stage(std::make_shared<Stage>()), StateError);
+}
+
+TEST(RuntimeState, ConcurrentSetAndReadAreRaceFree) {
+  // The Synchronizer writes task/stage/pipeline states while component
+  // threads read them without a lock. Run under ThreadSanitizer, this
+  // fails if the state fields are plain (non-atomic) members.
+  Task t;
+  Stage s;
+  Pipeline p("p");
+  std::thread writer([&] {
+    for (int i = 0; i < 20000; ++i) {
+      const bool even = i % 2 == 0;
+      t.set_state(even ? TaskState::Scheduled : TaskState::Submitted);
+      s.set_state(even ? StageState::Scheduling : StageState::Scheduled);
+      p.set_state(even ? PipelineState::Scheduling : PipelineState::Described);
+    }
+    t.set_state(TaskState::Done);
+    s.set_state(StageState::Done);
+    p.set_state(PipelineState::Done);
+  });
+  // Every read returns a value some set_state wrote, never a torn one.
+  bool done = false;
+  while (!done) {
+    const TaskState ts = t.state();
+    const StageState ss = s.state();
+    const PipelineState ps = p.state();
+    EXPECT_TRUE(ts == TaskState::Described || ts == TaskState::Scheduled ||
+                ts == TaskState::Submitted || ts == TaskState::Done);
+    EXPECT_TRUE(ss == StageState::Described || ss == StageState::Scheduling ||
+                ss == StageState::Scheduled || ss == StageState::Done);
+    EXPECT_TRUE(ps == PipelineState::Described ||
+                ps == PipelineState::Scheduling || ps == PipelineState::Done);
+    done = ts == TaskState::Done && ss == StageState::Done &&
+           ps == PipelineState::Done;
+  }
+  writer.join();
 }
 
 // ----------------------------------------------------------- StateStore
@@ -338,7 +375,7 @@ TEST(Overheads, ComputedFromProfilerEvents) {
   in.tasks_processed = 1;
   in.host.factor = 1.0;
 
-  const OverheadReport r = compute_overheads(p, in);
+  const OverheadReport r = compute_overheads(obs::build_trace(p), in);
   EXPECT_DOUBLE_EQ(r.task_exec_s, 100.0);
   EXPECT_DOUBLE_EQ(r.staging_s, 2.0);
   EXPECT_DOUBLE_EQ(r.rts_teardown_s, 15.0);
@@ -358,8 +395,8 @@ TEST(Overheads, TitanHostFactorShrinksEnTKOverheads) {
   vm.host.factor = 1.0;
   OverheadInputs titan = vm;
   titan.host.factor = 0.3;
-  const OverheadReport rv = compute_overheads(p, vm);
-  const OverheadReport rt = compute_overheads(p, titan);
+  const OverheadReport rv = compute_overheads(obs::build_trace(p), vm);
+  const OverheadReport rt = compute_overheads(obs::build_trace(p), titan);
   EXPECT_LT(rt.entk_setup_s, rv.entk_setup_s);
   EXPECT_LT(rt.entk_mgmt_s, rv.entk_mgmt_s);
   EXPECT_LT(rt.entk_teardown_s, rv.entk_teardown_s);
@@ -369,7 +406,7 @@ TEST(Overheads, TitanHostFactorShrinksEnTKOverheads) {
 TEST(Overheads, EmptyProfilerYieldsZeroWorkloadTimes) {
   Profiler p;
   OverheadInputs in;
-  const OverheadReport r = compute_overheads(p, in);
+  const OverheadReport r = compute_overheads(obs::build_trace(p), in);
   EXPECT_DOUBLE_EQ(r.task_exec_s, 0.0);
   EXPECT_DOUBLE_EQ(r.staging_s, 0.0);
   EXPECT_DOUBLE_EQ(r.rts_overhead_s, 0.0);

@@ -1,18 +1,22 @@
-// Direct component tests of the ExecManager: Emgr batching and
-// translation, RTS-callback forwarding, heartbeat-driven restarts with a
-// counting factory — without a WFProcessor in the loop.
+// Direct component tests of the ExecManager — the embedded
+// worker::WorkerRuntime with a registry resolver, as AppManager builds it:
+// Emgr batching and translation, RTS-callback forwarding, heartbeat-driven
+// restarts with a counting factory — without a WFProcessor in the loop.
 #include <gtest/gtest.h>
 
 #include <mutex>
 #include <set>
 #include <thread>
 
-#include "src/core/exec_manager.hpp"
 #include "src/core/state_store.hpp"
+#include "src/core/sync.hpp"
 #include "src/rts/local_rts.hpp"
+#include "src/worker/worker_runtime.hpp"
 
 namespace entk {
 namespace {
+
+using ExecConfig = worker::WorkerRuntimeConfig;
 
 class ExecFixture : public ::testing::Test {
  protected:
@@ -43,9 +47,10 @@ class ExecFixture : public ::testing::Test {
             rts::LocalRtsConfig{.workers = 2}, clock_, profiler_);
       };
     }
-    emgr_ = std::make_unique<ExecManager>(cfg, broker_, &registry_,
-                                          "q.pending", "q.completed",
-                                          "q.states", factory, profiler_);
+    emgr_ = std::make_unique<worker::WorkerRuntime>(
+        "exec_manager", cfg, broker_,
+        [this](const std::string& uid) { return registry_.unit(uid); },
+        "q.pending", "q.completed", "q.states", factory, profiler_);
     emgr_->acquire_resources();
     emgr_->start();
   }
@@ -65,25 +70,45 @@ class ExecFixture : public ::testing::Test {
     return task;
   }
 
-  /// Register a task and push its uid to the Pending queue.
+  /// Register a task and push it to the Pending queue as a batch of one.
   TaskPtr submit_task(double duration = 0.5,
                       std::function<int()> fn = nullptr) {
     TaskPtr task = make_task(duration, std::move(fn));
-    json::Value msg;
-    msg["uid"] = task->uid();
-    broker_->publish("q.pending", mq::Message::json_body("q.pending", msg));
+    publish_uids({task->uid()});
     return task;
   }
 
-  /// Wait for n completion messages on the Done queue.
-  std::vector<json::Value> collect(std::size_t n, double timeout_s = 5.0) {
+  /// Publish one {"uids": [...]} pending message.
+  void publish_uids(json::Array uids) {
+    json::Value msg;
+    msg["uids"] = std::move(uids);
+    broker_->publish("q.pending", mq::Message::json_body("q.pending", msg));
+  }
+
+  /// Wait for n {"results": [...]} messages on the Done queue.
+  std::vector<json::Value> collect_messages(std::size_t n,
+                                            double timeout_s = 5.0) {
     std::vector<json::Value> out;
     const double deadline = wall_now_s() + timeout_s;
     while (out.size() < n && wall_now_s() < deadline) {
       auto d = broker_->get("q.completed", 0.01);
       if (!d) continue;
       broker_->ack("q.completed", d->delivery_tag);
-      out.push_back(d->message.body_json());
+      out.push_back(*d->message.payload());
+    }
+    return out;
+  }
+
+  /// Wait for n completion records, unpacked from the Done messages.
+  std::vector<json::Value> collect(std::size_t n, double timeout_s = 5.0) {
+    std::vector<json::Value> out;
+    const double deadline = wall_now_s() + timeout_s;
+    while (out.size() < n && wall_now_s() < deadline) {
+      for (const json::Value& msg : collect_messages(1, 0.01)) {
+        for (const json::Value& r : msg.at("results").as_array()) {
+          out.push_back(r);
+        }
+      }
     }
     return out;
   }
@@ -94,7 +119,7 @@ class ExecFixture : public ::testing::Test {
   ProfilerPtr profiler_;
   ClockPtr clock_;
   std::unique_ptr<Synchronizer> synchronizer_;
-  std::unique_ptr<ExecManager> emgr_;
+  std::unique_ptr<worker::WorkerRuntime> emgr_;
   std::atomic<int> rts_instances_{0};
 };
 
@@ -171,9 +196,7 @@ TEST_F(ExecFixture, BulkPendingMessageSubmitsAllTasks) {
     tasks.push_back(make_task(0.2));
     uids.push_back(tasks.back()->uid());
   }
-  json::Value msg;
-  msg["uids"] = std::move(uids);
-  broker_->publish("q.pending", mq::Message::json_body("q.pending", msg));
+  publish_uids(std::move(uids));
   const auto results = collect(4);
   ASSERT_EQ(results.size(), 4u);
   std::set<std::string> seen;
@@ -212,7 +235,7 @@ TEST_F(ExecFixture, CompletionCoalescingPublishesResultsArrays) {
     auto d = broker_->get("q.completed", 0.01);
     if (!d) continue;
     broker_->ack("q.completed", d->delivery_tag);
-    const json::Value body = d->message.body_json();
+    const json::Value body = *d->message.payload();
     ASSERT_TRUE(body.contains("results"));
     for (const json::Value& r : body.at("results").as_array()) {
       seen.insert(r.get_string("uid", ""));
@@ -266,7 +289,7 @@ TEST_F(ExecFixture, InlineCompletionsOfOnePendingMessageLeaveAsOneMessage) {
   auto rts = std::make_shared<InlineRts>();
   start_exec(cfg, [rts] { return rts; });
 
-  const auto messages = collect(2);
+  const auto messages = collect_messages(2);
   ASSERT_EQ(messages.size(), 2u);
   for (std::size_t m = 0; m < 2; ++m) {
     const std::vector<TaskPtr>& tasks = m == 0 ? first : second;
@@ -278,7 +301,7 @@ TEST_F(ExecFixture, InlineCompletionsOfOnePendingMessageLeaveAsOneMessage) {
     }
   }
   EXPECT_EQ(rts->submits.load(), 2);
-  EXPECT_TRUE(collect(1, 0.05).empty());  // nothing else follows
+  EXPECT_TRUE(collect_messages(1, 0.05).empty());  // nothing else follows
 }
 
 /// Holds submitted units until the test completes them from its own
@@ -368,10 +391,10 @@ TEST_F(ExecFixture, AckOnCompletionPublishesBeforeReleasingDelivery) {
                       EXPECT_EQ(depth("q.completed").ready, 2u);
                       EXPECT_EQ(depth("q.pending").unacked, 0u);
                     });
-  const auto results = collect(2);
-  ASSERT_EQ(results.size(), 2u);
-  for (const json::Value& r : results) {
-    EXPECT_FALSE(r.contains("results"));  // one message per result
+  const auto messages = collect_messages(2);
+  ASSERT_EQ(messages.size(), 2u);
+  for (const json::Value& m : messages) {
+    EXPECT_EQ(m.at("results").as_array().size(), 1u);  // one per result
   }
   EXPECT_EQ(emgr_->in_flight(), 0u);
 }
@@ -395,9 +418,7 @@ TEST_F(ExecFixture, DoubleStopIsIdempotent) {
 
 TEST_F(ExecFixture, PendingMessagesForUnknownTasksAreDropped) {
   start_exec();
-  json::Value msg;
-  msg["uid"] = "task.77777x";
-  broker_->publish("q.pending", mq::Message::json_body("q.pending", msg));
+  publish_uids({"task.77777x"});
   // Nothing arrives on the Done queue; a real task still works after.
   TaskPtr task = submit_task(0.2);
   const auto results = collect(1);

@@ -198,7 +198,7 @@ TEST(Resume, CombinedBrokerAndStateRecoveryDoesNotReexecuteDoneTasks) {
     mq::Broker crashed("crashed", crash_dir);
     crashed.declare_queue("q.pending", mq::QueueOptions{.durable = true});
     json::Value msg;
-    msg["uid"] = first->uid();
+    msg["uids"] = json::Array{first->uid()};
     crashed.publish("q.pending", mq::Message::json_body("q.pending", msg));
     crashed_journal = crashed.journal_path();
     crashed.close();

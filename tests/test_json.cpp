@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "src/json/json.hpp"
 
@@ -174,7 +175,7 @@ Value generate(int seed, int depth = 0) {
   switch (kind) {
     case 0: return Value();
     case 1: return Value(seed % 2 == 0);
-    case 2: return Value(seed * 1234567 - 42);
+    case 2: return Value(static_cast<std::int64_t>(seed) * 1234567 - 42);
     case 3: return Value(seed * 0.37 - 1.5);
     case 4: return Value("s" + std::to_string(seed) + "\n\"\\x");
     case 5: {

@@ -9,7 +9,7 @@
 #include <thread>
 
 #include "src/common/clock.hpp"
-#include "src/mq/channel.hpp"
+#include "src/mq/broker.hpp"
 #include "src/mq/journal.hpp"
 #include "src/obs/metrics.hpp"
 
@@ -488,38 +488,15 @@ TEST(Broker, ConcurrentProducersConsumersLoseNothing) {
   EXPECT_EQ(b.queue("work")->stats().unacked, 0u);
 }
 
-TEST(Channel, AmqpShapedFacade) {
-  auto broker = std::make_shared<Broker>();
-  Connection conn(broker);
-  EXPECT_TRUE(conn.is_open());
-  auto ch = conn.open_channel();
-  ch->queue_declare("q");
-  json::Value payload;
-  payload["k"] = 7;
-  ch->basic_publish("q", payload);
-  auto d = ch->basic_get("q", 0.0);
-  ASSERT_TRUE(d);
-  EXPECT_EQ(d->message.body_json().at("k").as_int(), 7);
-  EXPECT_TRUE(ch->basic_ack("q", d->delivery_tag));
-  ch->basic_publish_raw("q", "raw-bytes");
-  auto d2 = ch->basic_get("q", 0.0);
-  ASSERT_TRUE(d2);
-  EXPECT_EQ(d2->message.body(), "raw-bytes");
-  EXPECT_TRUE(ch->basic_nack("q", d2->delivery_tag, false));
-  ch->queue_purge("q");
-  ch->queue_delete("q");
-  EXPECT_FALSE(broker->has_queue("q"));
-}
-
 TEST(Message, JsonBodyHelper) {
   json::Value payload;
   payload["x"] = 1;
   Message m = Message::json_body("route", payload);
   EXPECT_EQ(m.routing_key, "route");
-  EXPECT_EQ(m.body_json().at("x").as_int(), 1);
+  EXPECT_EQ(m.payload()->at("x").as_int(), 1);
   Message bad;
   bad.set_body("{not json");
-  EXPECT_THROW(bad.body_json(), json::ParseError);
+  EXPECT_THROW(bad.payload(), json::ParseError);
 }
 
 // ------------------------------------------------- zero-copy messaging --
@@ -585,17 +562,6 @@ TEST(Message, EmptyMessageBodyEmptyPayloadThrows) {
   Message m;
   EXPECT_EQ(m.body(), "");
   EXPECT_THROW(m.payload(), json::ParseError);
-}
-
-TEST(Message, EagerSerializationKnobRestoresSeedBehavior) {
-  set_eager_serialization(true);
-  json::Value payload;
-  payload["x"] = 1;
-  Message m = Message::json_body("route", std::move(payload));
-  set_eager_serialization(false);
-  EXPECT_TRUE(m.has_rendered_body());   // rendered at construction
-  EXPECT_FALSE(m.has_payload());        // consumers must re-parse
-  EXPECT_EQ(m.payload()->at("x").as_int(), 1);
 }
 
 TEST(Broker, DeliveryAvoidsSerializationEndToEnd) {

@@ -132,9 +132,9 @@ TEST(MessageCodec, StructuredMessageRoundTripsThroughBytes) {
   msg.seq = 99;
 
   std::string wire;
-  net::append_message(wire, msg);
+  net::append_message_binary(wire, msg);
   std::size_t offset = 0;
-  const mq::Message decoded = net::decode_message(wire, offset);
+  const mq::Message decoded = net::decode_message_binary(wire, offset);
   EXPECT_EQ(offset, wire.size());
   EXPECT_EQ(decoded.seq, 99u);
   EXPECT_EQ(decoded.headers.get_string("reply_to", ""), "q.ack.emgr");
@@ -147,9 +147,9 @@ TEST(MessageCodec, NullHeadersAndEmptyBodySurvive) {
   msg.routing_key = "q.x";
   msg.seq = 1;
   std::string wire;
-  net::append_message(wire, msg);
+  net::append_message_binary(wire, msg);
   std::size_t offset = 0;
-  const mq::Message decoded = net::decode_message(wire, offset);
+  const mq::Message decoded = net::decode_message_binary(wire, offset);
   EXPECT_TRUE(decoded.headers.is_null());
   EXPECT_EQ(decoded.seq, 1u);
   EXPECT_EQ(decoded.body(), "");
@@ -223,13 +223,6 @@ TEST_F(LoopbackTest, BatchOpsMoveWholeChunks) {
   EXPECT_TRUE(client_->get_batch("q.t", 10, 0.0).empty());
 }
 
-TEST_F(LoopbackTest, NegotiatesBinaryCodecByDefault) {
-  // The constructor's hello exchange completes before any op is answered,
-  // so by the time a call returns the codec is settled.
-  client_->has_queue("q.t");
-  EXPECT_EQ(client_->negotiated_codec(), net::kCodecBinary);
-}
-
 TEST_F(LoopbackTest, BinaryPathNeverRendersJsonText) {
   const std::uint64_t renders_before = mq::body_render_count();
   std::vector<mq::Message> batch;
@@ -245,48 +238,6 @@ TEST_F(LoopbackTest, BinaryPathNeverRendersJsonText) {
   }
   // Client encode, server relay, client decode: structured the whole way.
   EXPECT_EQ(mq::body_render_count(), renders_before);
-}
-
-TEST_F(LoopbackTest, TextClientInteropsWithBinaryServer) {
-  // A client pinned to the PR5 text codec (an old peer) against the new
-  // server: negotiation settles on text and everything still flows.
-  net::RemoteBrokerConfig cfg;
-  cfg.endpoint = server_->endpoint();
-  cfg.retry_deadline_s = 10.0;
-  cfg.binary_codec = false;
-  net::RemoteBroker old_peer(cfg);
-  old_peer.has_queue("q.t");
-  EXPECT_EQ(old_peer.negotiated_codec(), net::kCodecText);
-  old_peer.publish("q.t", text_message("q.t", "from-old"));
-  auto d = old_peer.get("q.t", 1.0);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(text_of(*d), "from-old");
-  EXPECT_TRUE(old_peer.ack("q.t", d->delivery_tag));
-  old_peer.close();
-}
-
-TEST_F(LoopbackTest, MixedCodecClientsShareAQueue) {
-  net::RemoteBrokerConfig cfg;
-  cfg.endpoint = server_->endpoint();
-  cfg.retry_deadline_s = 10.0;
-  cfg.binary_codec = false;
-  net::RemoteBroker text_peer(cfg);
-
-  // binary -> text: the server renders the structured payload to JSON
-  // text at the old peer's boundary.
-  client_->publish("q.t", text_message("q.t", "b2t"));
-  auto d1 = text_peer.get("q.t", 1.0);
-  ASSERT_TRUE(d1.has_value());
-  EXPECT_EQ(text_of(*d1), "b2t");
-  EXPECT_TRUE(text_peer.ack("q.t", d1->delivery_tag));
-
-  // text -> binary: bytes in, typed bytes out.
-  text_peer.publish("q.t", text_message("q.t", "t2b"));
-  auto d2 = client_->get("q.t", 1.0);
-  ASSERT_TRUE(d2.has_value());
-  EXPECT_EQ(text_of(*d2), "t2b");
-  EXPECT_TRUE(client_->ack("q.t", d2->delivery_tag));
-  text_peer.close();
 }
 
 TEST_F(LoopbackTest, HasQueueReflectsDeclares) {

@@ -338,8 +338,9 @@ TEST(Tracer, SpanHistogramsFeedLatencyTable) {
 }
 
 TEST(Tracer, OverheadsFromTraceMatchProfilerCompatPath) {
-  // The exact scenario test_core checks through the Profiler overload must
-  // produce identical numbers when routed Profiler -> Trace -> overheads.
+  // The exact scenario test_core checks must produce identical numbers
+  // whether the trace is stitched from the Profiler or from a copy of its
+  // event list (the form a replayed profile arrives in).
   Profiler p;
   p.record("rts", "rts_init_start", "", 0.0);
   p.record("rts", "rts_init_stop", "", 30.0);
@@ -356,8 +357,9 @@ TEST(Tracer, OverheadsFromTraceMatchProfilerCompatPath) {
   in.tasks_processed = 1;
   in.host.factor = 1.0;
 
-  const OverheadReport via_profiler = compute_overheads(p, in);
-  const OverheadReport via_trace = compute_overheads(obs::build_trace(p), in);
+  const OverheadReport via_profiler = compute_overheads(obs::build_trace(p), in);
+  const OverheadReport via_trace =
+      compute_overheads(obs::build_trace(p.events()), in);
   EXPECT_DOUBLE_EQ(via_trace.task_exec_s, via_profiler.task_exec_s);
   EXPECT_DOUBLE_EQ(via_trace.staging_s, via_profiler.staging_s);
   EXPECT_DOUBLE_EQ(via_trace.rts_overhead_s, via_profiler.rts_overhead_s);

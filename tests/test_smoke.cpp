@@ -166,13 +166,20 @@ TEST(Smoke, PostExecHookExtendsPipeline) {
     return stage;
   };
   // Capture by value in the hook: hooks run on the WFProcessor thread.
+  // The pipeline owns each stage and so its hook: the hook reaches the
+  // pipeline and itself through weak_ptr, or the cycle would leak them.
   std::shared_ptr<std::function<void()>> extend =
       std::make_shared<std::function<void()>>();
-  *extend = [p, counter, make_stage, extend] {
+  std::weak_ptr<Pipeline> weak_p = p;
+  std::weak_ptr<std::function<void()>> weak_extend = extend;
+  *extend = [weak_p, counter, make_stage, weak_extend] {
+    const PipelinePtr pipeline = weak_p.lock();
+    const auto self = weak_extend.lock();
+    if (!pipeline || !self) return;
     if (counter->load() < 3) {
       StagePtr next = make_stage();
-      next->post_exec = *extend;
-      p->add_stage(next);
+      next->post_exec = *self;
+      pipeline->add_stage(next);
     }
   };
   StagePtr first = make_stage();

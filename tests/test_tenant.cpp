@@ -1,6 +1,6 @@
 // Multi-tenant broker tests: queue namespacing, tenant registry and token
-// bucket semantics, hello-handshake edge cases (old clients, invalid ids,
-// rebinds, codec+tenant combined), per-tenant quota backpressure
+// bucket semantics, hello-handshake edge cases (tenant-less clients,
+// invalid ids, rebinds), per-tenant quota backpressure
 // (kErrQuota -> bounded retry -> QuotaError), cross-tenant isolation of
 // identically-named queues, the connection accept cap, fair-scheduling
 // smoke, and per-tenant journal partition recovery.
@@ -304,36 +304,19 @@ TEST_F(TenantLoopbackTest, DepthSnapshotIsTenantScoped) {
 
 // ----------------------------------------------------- hello edge cases
 
-TEST_F(TenantLoopbackTest, OldClientWithoutHelloLandsInDefaultTenant) {
-  // binary_codec off + no tenant = the client never sends kHello at all
-  // (byte-identical to the PR 5 wire behavior).
-  net::RemoteBrokerConfig cfg;
-  cfg.endpoint = server_->endpoint();
-  cfg.binary_codec = false;
-  net::RemoteBroker old_peer(cfg);
-  old_peer.declare_queue("q.legacy", {});
-  old_peer.publish("q.legacy", text_message("q.legacy", "old"));
-  EXPECT_EQ(old_peer.negotiated_codec(), net::kCodecText);
-  // Landed on the unqualified (default-tenant) physical queue.
-  EXPECT_TRUE(broker_->has_queue("q.legacy"));
-  auto d = old_peer.get("q.legacy", 1.0);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(text_of(*d), "old");
-  old_peer.close();
-}
-
 TEST_F(TenantLoopbackTest, BinaryCodecAndTenantHelloCombine) {
-  // One kHello carries both negotiations: the codec offer in arg, the
-  // tenant id in the body.
+  // A tenant-bound connection speaks the same TLV codec as every other:
+  // its structured messages land in the tenant's namespace and cross the
+  // wire both ways without rendering JSON text.
   auto client = Client("combo");
   client->declare_queue("q.c", {});
-  client->has_queue("q.c");  // forces a settled round trip
-  EXPECT_EQ(client->negotiated_codec(), net::kCodecBinary);
+  const std::uint64_t renders_before = mq::body_render_count();
   client->publish("q.c", text_message("q.c", "x"));
   EXPECT_TRUE(broker_->has_queue("t.combo/q.c"));
   auto d = client->get("q.c", 1.0);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(text_of(*d), "x");
+  EXPECT_EQ(mq::body_render_count(), renders_before);
   client->close();
 }
 
@@ -369,6 +352,8 @@ TEST_F(TenantLoopbackTest, UnknownTenantRejectedWhenAutoRegisterOff) {
 // Raw-frame client for handshake sequences the RemoteBroker never emits.
 class RawConn {
  public:
+  /// Server side of a connection accepted from a listening socket.
+  explicit RawConn(int accepted_fd) : fd_(accepted_fd) {}
   explicit RawConn(const std::string& endpoint) {
     std::string host;
     std::uint16_t port = 0;
@@ -412,9 +397,57 @@ net::Frame hello_frame(const std::string& tenant, std::uint64_t corr) {
   net::Frame f;
   f.op = net::Op::kHello;
   f.corr = corr;
-  f.arg = net::kCodecBinary;
   f.body = tenant;
   return f;
+}
+
+TEST_F(TenantLoopbackTest, OldClientWithoutHelloLandsInDefaultTenant) {
+  // A client without a tenant sends no hello at all: on a listener
+  // standing in for the daemon, its first frame is its first request.
+  const int listener = net::listen_tcp("127.0.0.1", 0);
+  ASSERT_GE(listener, 0);
+  net::RemoteBrokerConfig quiet_cfg;
+  quiet_cfg.endpoint =
+      "127.0.0.1:" + std::to_string(net::local_port(listener));
+  quiet_cfg.retry_deadline_s = 2.0;
+  quiet_cfg.response_grace_s = 2.0;
+  quiet_cfg.heartbeat_interval_s = 5.0;  // no heartbeat ahead of the request
+  net::RemoteBroker quiet(quiet_cfg);
+  const int accepted = ::accept(listener, nullptr, nullptr);
+  net::close_fd(listener);
+  ASSERT_GE(accepted, 0);
+  RawConn daemon_side(accepted);
+  bool answered = false;
+  std::thread request([&] {
+    try {
+      answered = quiet.has_queue("q.legacy");
+    } catch (const MqError&) {
+    }
+  });
+  const std::optional<net::Frame> first = daemon_side.recv_frame();
+  EXPECT_TRUE(first.has_value());
+  if (first.has_value()) {
+    EXPECT_EQ(first->op, net::Op::kHasQueue);
+    net::Frame ok;
+    ok.op = net::Op::kOk;
+    ok.corr = first->corr;
+    ok.flags = net::kFlagTrue;
+    daemon_side.send(ok);
+  }
+  request.join();
+  EXPECT_TRUE(answered);
+  quiet.close();
+
+  // Against the real daemon it lands on the unqualified (default-tenant)
+  // physical queue.
+  auto legacy = Client("");
+  legacy->declare_queue("q.legacy", {});
+  legacy->publish("q.legacy", text_message("q.legacy", "old"));
+  EXPECT_TRUE(broker_->has_queue("q.legacy"));
+  auto d = legacy->get("q.legacy", 1.0);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(text_of(*d), "old");
+  legacy->close();
 }
 
 TEST_F(TenantLoopbackTest, HelloTwiceSameIdIsIdempotent) {
@@ -487,13 +520,12 @@ TEST_F(TenantLoopbackTest, QualifiedQueueNamesRejectedOnTheWire) {
   victim->declare_queue("q.pending", {});
   victim->publish("q.pending", text_message("q.pending", "secret"));
 
-  // A legacy connection that never sends kHello (pre-tenancy wire
-  // behavior, conn.tenant unset) gets kError on every op naming the
-  // qualified queue — it can neither steal nor inject nor evade the
-  // victim's depth quota by publishing into its namespace directly.
+  // A connection that never sends kHello (no tenant configured) gets
+  // kError on every op naming the qualified queue — it can neither steal
+  // nor inject nor evade the victim's depth quota by publishing into its
+  // namespace directly.
   net::RemoteBrokerConfig snoop_cfg;
   snoop_cfg.endpoint = server_->endpoint();
-  snoop_cfg.binary_codec = false;
   net::RemoteBroker snoop(snoop_cfg);
   EXPECT_THROW(snoop.get("t.victim/q.pending", 0.0), MqError);
   EXPECT_THROW(

@@ -56,12 +56,23 @@ class WfpFixture : public ::testing::Test {
     return pipeline;
   }
 
-  /// Pop one pending-task uid (waits up to a second).
+  /// Pop one pending-task uid (waits up to a second). Pending messages
+  /// carry {"uids": [...]}; at the default batch size, one uid each.
   std::string pop_pending() {
     auto d = broker_->get("q.pending", 1.0);
     if (!d) return "";
     broker_->ack("q.pending", d->delivery_tag);
-    return d->message.body_json().get_string("uid", "");
+    const json::Array& uids = d->message.payload()->at("uids").as_array();
+    EXPECT_EQ(uids.size(), 1u);
+    return uids.empty() ? "" : uids.front().as_string();
+  }
+
+  /// Publish one completion record as a {"results": [...]} Done message.
+  void publish_result(json::Value result) {
+    json::Value msg;
+    msg["results"] = json::Array{std::move(result)};
+    broker_->publish("q.completed",
+                     mq::Message::json_body("q.completed", std::move(msg)));
   }
 
   /// Simulate the ExecManager+RTS side for one task: advance its states
@@ -71,12 +82,11 @@ class WfpFixture : public ::testing::Test {
     SyncClient sync(broker_, "fake_emgr", "q.states", "q.ack.fake");
     sync.sync(uid, "task", "SCHEDULED", "SUBMITTING", true);
     sync.sync(uid, "task", "SUBMITTING", "SUBMITTED", true);
-    json::Value msg;
-    msg["uid"] = uid;
-    msg["outcome"] = outcome;
-    msg["exit_code"] = exit_code;
-    broker_->publish("q.completed",
-                     mq::Message::json_body("q.completed", msg));
+    json::Value result;
+    result["uid"] = uid;
+    result["outcome"] = outcome;
+    result["exit_code"] = exit_code;
+    publish_result(std::move(result));
   }
 
   mq::BrokerPtr broker_;
@@ -153,8 +163,7 @@ TEST_F(WfpFixture, UnknownResultIsIgnored) {
   json::Value bogus;
   bogus["uid"] = "task.99999x";
   bogus["outcome"] = "DONE";
-  broker_->publish("q.completed",
-                   mq::Message::json_body("q.completed", bogus));
+  publish_result(std::move(bogus));
   // The real task still completes normally afterward.
   complete(pop_pending(), "DONE");
   wfp_->wait_completion();
@@ -192,7 +201,7 @@ TEST_F(WfpFixture, BatchedEnqueueShipsBulkPendingAndCoalescedResults) {
   auto d = broker_->get("q.pending", 1.0);
   ASSERT_TRUE(d);
   broker_->ack("q.pending", d->delivery_tag);
-  const json::Value msg = d->message.body_json();
+  const json::Value msg = *d->message.payload();
   ASSERT_TRUE(msg.contains("uids"));
   std::vector<std::string> uids;
   for (const json::Value& u : msg.at("uids").as_array()) {

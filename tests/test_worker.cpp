@@ -83,7 +83,8 @@ class WorkerRuntimeFixture : public ::testing::Test {
                      mq::Message::json_body("q.pending", std::move(msg)));
   }
 
-  /// Wait for n completion messages on the Done queue.
+  /// Wait for n completion records, unpacked from the {"results": [...]}
+  /// messages on the Done queue.
   std::vector<json::Value> collect(std::size_t n, double timeout_s = 5.0) {
     std::vector<json::Value> out;
     const double deadline = wall_now_s() + timeout_s;
@@ -91,7 +92,10 @@ class WorkerRuntimeFixture : public ::testing::Test {
       auto d = broker_->get("q.completed", 0.01);
       if (!d) continue;
       broker_->ack("q.completed", d->delivery_tag);
-      out.push_back(d->message.body_json());
+      for (const json::Value& r :
+           d->message.payload()->at("results").as_array()) {
+        out.push_back(r);
+      }
     }
     return out;
   }
@@ -184,7 +188,10 @@ TEST_F(WorkerRuntimeFixture, BoundedPrefetchCapsUnitsHeldAtOnce) {
     auto d = broker_->get("q.completed", 0.005);
     if (!d) continue;
     broker_->ack("q.completed", d->delivery_tag);
-    seen.insert(d->message.body_json().get_string("uid", ""));
+    for (const json::Value& r :
+         d->message.payload()->at("results").as_array()) {
+      seen.insert(r.get_string("uid", ""));
+    }
   }
   EXPECT_EQ(seen.size(), uids.size());
   EXPECT_LE(max_seen, 2u);
@@ -313,7 +320,7 @@ TEST(WorkerDedup, DuplicateResultResolvesTaskExactlyOnce) {
   auto d = broker->get("q.pending", 2.0);
   ASSERT_TRUE(d.has_value());
   broker->ack("q.pending", d->delivery_tag);
-  const json::Value body = d->message.body_json();
+  const json::Value body = *d->message.payload();
   ASSERT_TRUE(body.contains("units"));  // inline mode ships full units
   const json::Array& units = body.at("units").as_array();
   ASSERT_EQ(units.size(), 1u);
@@ -326,12 +333,18 @@ TEST(WorkerDedup, DuplicateResultResolvesTaskExactlyOnce) {
   result["uid"] = task->uid();
   result["outcome"] = "DONE";
   result["exit_code"] = 0;
-  broker->publish("q.completed", mq::Message::json_body("q.completed", result));
+  auto publish_result = [&broker](const json::Value& r) {
+    json::Value msg;
+    msg["results"] = json::Array{r};
+    broker->publish("q.completed",
+                    mq::Message::json_body("q.completed", std::move(msg)));
+  };
+  publish_result(result);
   // Second copy claims FAILED with a nonzero exit code: if dedup ever
   // regressed, the task state or exit code would change observably.
   result["outcome"] = "FAILED";
   result["exit_code"] = 13;
-  broker->publish("q.completed", mq::Message::json_body("q.completed", result));
+  publish_result(result);
 
   for (int spin = 0; spin < 3000 && task->state() != TaskState::Done; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
